@@ -281,8 +281,10 @@ class Document:
             # "polynomial" share one entry; capability checks stay above the
             # cache so a miss and a hit raise identically.  The owner prefix
             # scopes the entry to this document's *source* inside a shared
-            # corpus-wide cache (see repro.corpus.cache).
-            key = (self._cache_owner, compiled.source, compiled.variables, backend.name)
+            # corpus-wide cache (see repro.corpus.cache).  The canonical plan
+            # text, not the AST, names the query: an entry then pins one
+            # string rather than a parsed expression per fresh query text.
+            key = (self._cache_owner, compiled.plan_text, compiled.variables, backend.name)
             with _trace.span("answer_cache.lookup") as lookup:
                 answers = self._answer_cache.get(key)
                 lookup.set(hit=answers is not None)
@@ -480,6 +482,7 @@ class _CostMeter:
             "compose_ops": ops["full_compose"] - self._ops["full_compose"],
             "row_union_ops": ops["row_union"] - self._ops["row_union"],
             "relations_built": ops["relations_built"] - self._ops["relations_built"],
+            "set_steps": ops["set_steps"] - self._ops["set_steps"],
             # Net growth of the tree's matrix cache: bytes this query left
             # resident (evictions it triggered subtract, so this is a
             # footprint delta, not a gross-allocation count).

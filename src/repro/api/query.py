@@ -13,9 +13,11 @@ from __future__ import annotations
 import pickle
 import sys
 import threading
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Hashable, Optional, Sequence
 
 from repro.errors import RestrictionViolation, TranslationError
 from repro.xpath.ast import OrTest, PathExpr, PathUnion
@@ -95,6 +97,15 @@ class Query:
     def unparse(self) -> str:
         """Return concrete syntax for the source expression."""
         return self.text if self.text is not None else self.source.unparse()
+
+    @cached_property
+    def plan_text(self) -> str:
+        """The canonical text of the plan: the source AST unparsed.
+
+        Two spellings of one expression share it, and unlike the AST it
+        pins a single string, which is why answer caches key by it.
+        """
+        return self.source.unparse()
 
     @property
     def cache_key(self) -> tuple:
@@ -199,6 +210,49 @@ def _unpickle_query(payload: bytes, size: int) -> "Query":
     with _recursion_headroom(size):
         fields = pickle.loads(payload)
     return Query(**fields)
+
+
+#: Entries each in-memory compiled-plan memo keeps.  A stream of fresh
+#: query texts would otherwise pin one compiled plan per text for the life
+#: of the process; the least recently used plan is dropped first.
+PLAN_MEMO_ENTRIES = 256
+
+
+class PlanMemo:
+    """A bounded, thread-safe LRU of compiled queries.
+
+    Keyed by ``(expression, variables)``.  The one memo implementation
+    behind the session's plan memo, the shard workers' memo and the
+    executor's in-parent fallback, all sized by :data:`PLAN_MEMO_ENTRIES`.
+    """
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[Hashable, Query]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable) -> Optional[Query]:
+        """Return the memoised query (refreshing its recency), or ``None``."""
+        with self._lock:
+            query = self._entries.get(key)
+            if query is not None:
+                self._entries.move_to_end(key)
+            return query
+
+    def setdefault(self, key: Hashable, query: Query) -> Query:
+        """Return the memoised query for ``key``, storing ``query`` if absent."""
+        with self._lock:
+            existing = self._entries.get(key)
+            if existing is not None:
+                self._entries.move_to_end(key)
+                return existing
+            self._entries[key] = query
+            if len(self._entries) > PLAN_MEMO_ENTRIES:
+                self._entries.popitem(last=False)
+            return query
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
 
 
 def compile_query(

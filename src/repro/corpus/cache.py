@@ -11,12 +11,15 @@ its whole budget on residency instead of answers.
 :class:`repro.corpus.store.DocumentStore`, accounted in *bytes* rather than
 entry counts:
 
-* entries are keyed by ``(owner, source AST, variables, engine)`` where
+* entries are keyed by ``(owner, plan text, variables, engine)`` where
   ``owner`` is a token identifying the registered *source* (not the
   materialised document), so answers survive document eviction and are
   reused when the document is reloaded;
-* the budget is enforced by least-recently-used eviction over an estimate of
-  each answer set's memory footprint;
+* answer sets are stored packed, as sorted int32 rows (one per tuple), and
+  rebuilt into a frozenset on a hit: a frozenset of pairs costs over 100
+  bytes per pair where the rows cost 4 bytes per node id;
+* the budget is enforced by least-recently-used eviction over each entry's
+  resident bytes;
 * hit/miss/insertion/eviction counters and the current byte total are
   exposed as :class:`AnswerCacheStats` — surfaced by
   :class:`repro.corpus.report.CorpusReport` and the serving layer's
@@ -28,27 +31,49 @@ documents can never serve stale answers.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
-#: CPython footprint of a small int object; answer tuples hold node ids.
-_INT_BYTES = 28
+import numpy as np
+
+
+class PackedAnswers:
+    """An answer set stored as sorted int32 rows, one per answer tuple."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, answers: frozenset) -> None:
+        count = len(answers)
+        width = len(next(iter(answers))) if count else 0
+        flat = np.fromiter(
+            itertools.chain.from_iterable(answers), dtype=np.int32, count=count * width
+        )
+        rows = flat.reshape(count, width)
+        if width:
+            rows = rows[np.lexsort(rows.T[::-1])]  # sorted, and owns its buffer
+        self.rows = rows
+
+    @property
+    def nbytes(self) -> int:
+        """Resident bytes: the row buffer plus the array and wrapper objects."""
+        return sys.getsizeof(self.rows) + sys.getsizeof(self)
+
+    def unpack(self) -> frozenset:
+        """Rebuild the answer set."""
+        return frozenset(map(tuple, self.rows.tolist()))
 
 
 def estimate_answer_bytes(answers: frozenset) -> int:
-    """Estimate the resident footprint of one answer set in bytes.
+    """Return the bytes one answer set costs in an :class:`AnswerCache`.
 
-    Counts the frozenset, each tuple and a fixed per-int cost.  Node ids in
-    one document repeat across tuples (and small ints are interned), so this
-    over-approximates — the safe direction for a budget.
+    That is the size of its packed rows (see :class:`PackedAnswers`), which
+    is what the cache holds.
     """
-    total = sys.getsizeof(answers)
-    for answer in answers:
-        total += sys.getsizeof(answer) + _INT_BYTES * len(answer)
-    return total
+    return PackedAnswers(answers).nbytes
 
 
 def estimate_entry_bytes(value) -> int:
@@ -63,6 +88,8 @@ def estimate_entry_bytes(value) -> int:
     """
     if isinstance(value, frozenset):
         return estimate_answer_bytes(value)
+    if isinstance(value, PackedAnswers):
+        return value.nbytes
     from repro.trees.tree import estimate_value_bytes
 
     return estimate_value_bytes(value)
@@ -108,7 +135,7 @@ class AnswerCache:
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes must be non-negative (or None for unbounded)")
         self.max_bytes = max_bytes
-        self._entries: "OrderedDict[tuple, tuple[frozenset, int]]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, tuple[object, int]]" = OrderedDict()
         self._lock = threading.Lock()
         self._bytes = 0
         self._hits = 0
@@ -117,7 +144,10 @@ class AnswerCache:
         self._evictions = 0
 
     def get(self, key: tuple) -> Optional[frozenset]:
-        """Return the cached answer set, bumping its recency, or ``None``."""
+        """Return the cached answer set, bumping its recency, or ``None``.
+
+        An answer set comes back as a new frozenset equal to the one put.
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -125,10 +155,13 @@ class AnswerCache:
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-            return entry[0]
+            value = entry[0]
+        return value.unpack() if isinstance(value, PackedAnswers) else value
 
     def put(self, key: tuple, answers) -> None:
         """Insert an entry (answer set or packed matrix), evicting LRU to budget."""
+        if isinstance(answers, frozenset):
+            answers = PackedAnswers(answers)
         cost = estimate_entry_bytes(answers)
         with self._lock:
             if self.max_bytes is not None and cost > self.max_bytes:

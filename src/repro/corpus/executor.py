@@ -74,7 +74,7 @@ from repro import faults
 from repro._config import UNSET as _UNSET
 from repro.core.engine import QueryReport
 from repro.api.document import BatchItem, Document, iter_batch
-from repro.api.query import Query, compile_query
+from repro.api.query import PlanMemo, Query, compile_query
 from repro.api.registry import DEFAULT_ENGINE
 from repro.corpus.store import CorpusError, DocumentStore, StoreStats
 from repro.errors import DocumentQuarantinedError
@@ -117,6 +117,7 @@ COST_COUNTERS = {
     "compose_ops": ("repro_compose_ops_total", "PPLbin compose operations"),
     "row_union_ops": ("repro_row_union_ops_total", "PPLbin row-union operations"),
     "relations_built": ("repro_relations_built_total", "PPLbin relations materialised"),
+    "set_steps": ("repro_set_steps_total", "Set-at-a-time axis steps of Fig. 8 answering"),
     "matrix_bytes": (
         "repro_matrix_bytes_total",
         "Matrix-cache bytes left resident by query evaluation",
@@ -230,7 +231,7 @@ def _worker_initialise(
         else:
             store.add_file(payload, name=name)
     _WORKER["store"] = store
-    _WORKER["queries"] = {}
+    _WORKER["queries"] = PlanMemo()
     _WORKER["metrics"] = MetricsRegistry()
     # A forked worker inherits the parent thread's span stack (the dispatch
     # span is open while pools spawn); start from a clean slate.
@@ -254,8 +255,9 @@ def _worker_query(text: str, variables: tuple[str, ...]) -> Query:
     key = (text, variables)
     query = _WORKER["queries"].get(key)
     if query is None:
-        query = compile_query(text, variables, require_ppl=False)
-        _WORKER["queries"][key] = query
+        query = _WORKER["queries"].setdefault(
+            key, compile_query(text, variables, require_ppl=False)
+        )
     return query
 
 
@@ -776,7 +778,7 @@ class CorpusExecutor:
         )
         #: Parent-side compiled-query cache for the degraded fallback path
         #: (specs arrive pre-serialised from the shard dispatch).
-        self._spec_queries: dict[tuple[str, tuple[str, ...]], Query] = {}
+        self._spec_queries = PlanMemo()
 
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -1084,8 +1086,9 @@ class CorpusExecutor:
             key = (text, tuple(variables))
             query = self._spec_queries.get(key)
             if query is None:
-                query = compile_query(text, tuple(variables), require_ppl=False)
-                self._spec_queries[key] = query
+                query = self._spec_queries.setdefault(
+                    key, compile_query(text, tuple(variables), require_ppl=False)
+                )
             queries.append(query)
         document = self.store.get(name)
         return self._retry_document(

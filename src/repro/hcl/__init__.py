@@ -13,9 +13,12 @@ Modules:
   language ``L`` and concrete oracles (PPLbin, raw axes, explicit relations).
 * :mod:`~repro.hcl.sharing` — sharing expressions and equation systems
   (Lemma 3).
-* :mod:`~repro.hcl.mc` — the MC filtering table (Proposition 10).
+* :mod:`~repro.hcl.plan` — a sharing formula compiled once into a flat
+  instruction DAG.
+* :mod:`~repro.hcl.mc` — the MC filtering table (Proposition 10), one
+  Boolean column per sub-formula.
 * :mod:`~repro.hcl.answering` — the Fig. 8 answering algorithm
-  (Proposition 11).
+  (Proposition 11), run set-at-a-time over integer valuation tables.
 * :mod:`~repro.hcl.acq` / :mod:`~repro.hcl.yannakakis` — acyclic conjunctive
   queries over binary relations and Yannakakis' algorithm (Section 6).
 """

@@ -7,45 +7,44 @@ compositions, an output variable sequence ``x`` and a binary-query oracle for
     O( sum_b p(|b|, |t|)  +  n |C| |t|^2 |A| )
 
 where ``|A|`` is the cardinality of the answer set (Corollary 3).  The steps
-are exactly those of the paper:
+are those of the paper:
 
 1. normalise ``C`` into a sharing formula ``D`` with equation system ``Δ``
-   (Lemma 3, :mod:`repro.hcl.sharing`);
-2. build the MC filtering table (Proposition 10, :mod:`repro.hcl.mc`);
-3. run the recursive, memoised ``vals`` procedure of Fig. 8, which produces
-   partial valuations only for satisfiable branches, eliminates duplicates
-   with set semantics, and finally extends/projects to the output tuple.
+   (Lemma 3, :mod:`repro.hcl.sharing`) and compile it into a flat plan
+   (:mod:`repro.hcl.plan`) — once per query, memoised on the formula, not
+   once per document;
+2. build the MC filtering table (Proposition 10, :mod:`repro.hcl.mc`), one
+   Boolean column per sub-formula;
+3. run ``vals`` set-at-a-time.  Top-down, each sub-formula's *demand* — the
+   start nodes some parent asks about — is propagated from the MC-true
+   nodes only, and a leaf ``b/D`` lists its pairs from its demand into
+   ``MC(D, ·)``.  Bottom-up, each sub-formula gets a valuation table: an
+   integer array with one row per ``(u, alpha)`` with ``alpha`` in
+   ``vals(D0, u)``, a start column and one column per variable of
+   ``Var(D0) ∩ x``.  A leaf joins its pairs with the tail's table, a filter
+   cross-joins its two tables per start node, a union extends both sides
+   to its domain and removes duplicate rows, and a variable adds a column.
+   The root's table, projected and extended to ``x``, is the answer.
 
-Partial valuations are represented as ``frozenset`` of ``(variable, node)``
-pairs; all set unions therefore deduplicate automatically.
+``extend_{t,X}`` is deferred: a variable a union side lacks is stored as
+:data:`ANY` ("every node") and expanded once, after the root's table is
+projected, so a union never multiplies its rows by ``|t|`` per start node.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from repro.errors import RestrictionViolation
+from repro.trees.axes import equijoin
 from repro.trees.tree import Tree
 from repro.hcl.ast import HclExpr, HCompose
-from repro.hcl.binding import BinaryQueryOracle
+from repro.hcl.binding import BinaryQueryOracle, setwise_oracle
 from repro.hcl.mc import MCTable
-from repro.hcl.sharing import (
-    EquationSystem,
-    HeadFilter,
-    HeadLeaf,
-    HeadVar,
-    SharedCompose,
-    SharedExpr,
-    SharedParam,
-    SharedSelf,
-    SharedUnion,
-    normalize,
-    shared_variables,
-)
-
-Valuation = frozenset  # of (variable, node) pairs
-EMPTY_VALUATION: Valuation = frozenset()
+from repro.hcl.plan import FILTER, LEAF, SELF, UNION, VAR, Fig8Plan, compile_plan
+from repro.hcl.sharing import EquationSystem, SharedExpr, normalize
 
 
 def check_no_variable_sharing(formula: HclExpr) -> None:
@@ -68,24 +67,69 @@ def check_no_variable_sharing(formula: HclExpr) -> None:
                 )
 
 
-def _extend(
-    valuations: Iterable[Valuation], target_variables: frozenset[str], nodes: Sequence[int]
-) -> set[Valuation]:
-    """Extend each partial valuation to be total on ``target_variables``.
+def plan_for(formula: HclExpr, variables: Sequence[str]) -> Fig8Plan:
+    """Return the compiled plan of ``formula`` for ``variables`` (memoised).
 
-    This is the paper's ``extend_{t,X}`` function: missing variables range
-    over all nodes of the tree.
+    The NVS(/) check, the Lemma 3 normalisation and the plan compilation run
+    on the first call only; the plan is kept on the formula object.
     """
-    result: set[Valuation] = set()
-    for valuation in valuations:
-        domain = {variable for variable, _ in valuation}
-        missing = sorted(target_variables - domain)
-        if not missing:
-            result.add(valuation)
+    key = tuple(variables)
+    plans = formula.answer_plans
+    plan = plans.get(key)
+    if plan is None:
+        check_no_variable_sharing(formula)
+        shared, system = normalize(formula)
+        plan = compile_plan(shared, system, key)
+        plans[key] = plan
+    return plan
+
+
+#: Table entry standing for "any node": a variable a union side lacks.
+ANY = -1
+
+
+def _distinct(rows: np.ndarray, size: int) -> np.ndarray:
+    """Drop duplicate rows of a table over node ids below ``size`` (or ANY)."""
+    count, width = rows.shape
+    if count < 2:
+        return rows
+    if width == 0:
+        return rows[:1]
+    base = size + 1
+    if base**width < 2**62:
+        keys = rows[:, 0] + 1
+        for column in range(1, width):
+            keys = keys * base + (rows[:, column] + 1)
+        _, first = np.unique(keys, return_index=True)
+        return rows[first]
+    return np.unique(rows, axis=0)
+
+
+def _extend(rows: np.ndarray, missing: int) -> np.ndarray:
+    """Append ``missing`` columns of ANY: the paper's ``extend_{t,X}``, deferred."""
+    if not missing:
+        return rows
+    return np.concatenate([rows, np.full((len(rows), missing), ANY, dtype=rows.dtype)], axis=1)
+
+
+def _expand(rows: np.ndarray, size: int) -> np.ndarray:
+    """Replace every ANY entry by each node in turn (rows grouped by pattern)."""
+    wild = rows == ANY
+    if not wild.any():
+        return rows
+    patterns, group_of = np.unique(wild, axis=0, return_inverse=True)
+    parts = []
+    for index, pattern in enumerate(patterns):
+        group = rows[group_of.reshape(-1) == index]
+        columns = np.flatnonzero(pattern)
+        if not columns.size:
+            parts.append(group)
             continue
-        for values in itertools.product(nodes, repeat=len(missing)):
-            result.add(valuation | frozenset(zip(missing, values)))
-    return result
+        grid = np.indices((size,) * columns.size, dtype=np.int64).reshape(columns.size, -1).T
+        expanded = np.repeat(group, len(grid), axis=0)
+        expanded[:, columns] = np.tile(grid, (len(group), 1))
+        parts.append(expanded)
+    return _distinct(np.concatenate(parts), size)
 
 
 class HclAnswerer:
@@ -94,6 +138,8 @@ class HclAnswerer:
     def __init__(self, tree: Tree, oracle: BinaryQueryOracle) -> None:
         self.tree = tree
         self.oracle = oracle
+        # Wrapped once, so a pairs()-only oracle lists each query's pairs once.
+        self._setwise = setwise_oracle(oracle)
 
     def answer(
         self, formula: HclExpr, variables: Sequence[str]
@@ -106,9 +152,7 @@ class HclAnswerer:
             If the formula shares variables across a composition (it then
             lies outside HCL⁻ and the algorithm would be incorrect).
         """
-        check_no_variable_sharing(formula)
-        shared, system = normalize(formula)
-        return self._answer_shared(shared, system, variables)
+        return self.run(plan_for(formula, variables))
 
     def answer_shared(
         self,
@@ -117,91 +161,133 @@ class HclAnswerer:
         variables: Sequence[str],
     ) -> frozenset[tuple[int, ...]]:
         """Answer a query already given in sharing-formula form."""
-        return self._answer_shared(shared, system, variables)
-
-    # ------------------------------------------------------------------ core
-    def _answer_shared(
-        self,
-        shared: SharedExpr,
-        system: EquationSystem,
-        variables: Sequence[str],
-    ) -> frozenset[tuple[int, ...]]:
-        output_variables = frozenset(variables)
-        mc_table = MCTable(self.tree, shared, system, self.oracle)
-        nodes = list(self.tree.nodes())
-        memo: dict[tuple[int, int], frozenset[Valuation]] = {}
-        union_variable_cache: dict[int, frozenset[str]] = {}
-
-        def union_variables(formula: SharedUnion) -> frozenset[str]:
-            key = id(formula)
-            if key not in union_variable_cache:
-                union_variable_cache[key] = (
-                    shared_variables(formula, system) & output_variables
-                )
-            return union_variable_cache[key]
-
-        def vals(formula: SharedExpr, node: int) -> frozenset[Valuation]:
-            key = (id(formula), node)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            if not mc_table.value(formula, node):
-                result: frozenset[Valuation] = frozenset()
-            elif isinstance(formula, SharedSelf):
-                result = frozenset({EMPTY_VALUATION})
-            elif isinstance(formula, SharedParam):
-                result = vals(system.resolve(formula), node)
-            elif isinstance(formula, SharedUnion):
-                target = union_variables(formula)
-                left = _extend(vals(formula.left, node), target, nodes)
-                right = _extend(vals(formula.right, node), target, nodes)
-                result = frozenset(left | right)
-            elif isinstance(formula, SharedCompose):
-                head = formula.head
-                if isinstance(head, HeadLeaf):
-                    collected: set[Valuation] = set()
-                    for successor in self.oracle.successors(head.query, node):
-                        collected.update(vals(formula.tail, successor))
-                    result = frozenset(collected)
-                elif isinstance(head, HeadVar):
-                    tail_vals = vals(formula.tail, node)
-                    if head.name in output_variables:
-                        binding = frozenset({(head.name, node)})
-                        result = frozenset(
-                            valuation | binding for valuation in tail_vals
-                        )
-                    else:
-                        result = tail_vals
-                elif isinstance(head, HeadFilter):
-                    filter_vals = vals(head.inner, node)
-                    tail_vals = vals(formula.tail, node)
-                    result = frozenset(
-                        left | right for left in filter_vals for right in tail_vals
-                    )
-                else:  # pragma: no cover - exhaustive
-                    raise RestrictionViolation("HCL", f"unknown head {head!r}")
-            else:  # pragma: no cover - exhaustive
-                raise RestrictionViolation("HCL", f"unknown formula {formula!r}")
-            memo[key] = result
-            return result
-
-        partial_valuations: set[Valuation] = set()
-        for node in nodes:
-            partial_valuations.update(vals(shared, node))
-
-        total_valuations = _extend(partial_valuations, output_variables, nodes)
-        answers = set()
-        for valuation in total_valuations:
-            binding = dict(valuation)
-            answers.add(tuple(binding[name] for name in variables))
-        return frozenset(answers)
+        return self.run(compile_plan(shared, system, tuple(variables)))
 
     def nonempty(self, formula: HclExpr) -> bool:
         """Decide whether the query has any answer (Boolean query answering)."""
-        check_no_variable_sharing(formula)
-        shared, system = normalize(formula)
-        mc_table = MCTable(self.tree, shared, system, self.oracle)
-        return any(mc_table.value(shared, node) for node in self.tree.nodes())
+        plan = plan_for(formula, ())
+        return bool(MCTable(self.tree, plan, None, self._setwise).columns[plan.root].any())
+
+    # ------------------------------------------------------------------ core
+    def run(self, plan: Fig8Plan) -> frozenset[tuple[int, ...]]:
+        """Answer a compiled plan on this tree."""
+        size = self.tree.size
+        table = MCTable(self.tree, plan, None, self._setwise)
+        demand, pairs, reached = self._demand(plan, table)
+        instructions, domains, layouts = plan.instructions, plan.domains, plan.layouts
+        tables: list[np.ndarray] = []
+
+        def rows(position: int, wanted: np.ndarray) -> np.ndarray:
+            # A table read by several instructions covers all their demands.
+            found = tables[position]
+            if plan.users[position] > 1:
+                found = found[wanted[found[:, 0]]]
+            return found
+
+        for position, (opcode, first, second) in enumerate(instructions):
+            wanted = demand[position]
+            if wanted is None:
+                tables.append(np.zeros((0, 1 + len(domains[position])), dtype=np.int64))
+                continue
+            projected = plan.projected[position]
+            if opcode == SELF:
+                starts = np.flatnonzero(wanted)
+                tables.append((starts[:1] * 0 if projected else starts)[:, None])
+                continue
+            if opcode == VAR:
+                found = rows(second, wanted)
+                if layouts[position] is not None:
+                    found = found[:, layouts[position]]
+                elif plan.projected[second]:
+                    projected = False  # already projected by the tail
+            elif opcode == FILTER:
+                inner, tail = rows(first, wanted), rows(second, wanted)
+                if not domains[first]:
+                    found = tail
+                elif not domains[second]:
+                    found = inner
+                else:
+                    left, right = equijoin(inner[:, 0], tail[:, 0])
+                    joined = np.concatenate([inner[left], tail[right, 1:]], axis=1)
+                    found = joined[:, layouts[position]]
+            elif opcode == LEAF and projected:
+                # Only the reached start nodes matter, not who reached them.
+                found = rows(second, reached[position])
+                projected = not plan.projected[second]
+            elif opcode == LEAF:
+                sources, targets = pairs[position]
+                if domains[second]:
+                    tail = tables[second]
+                    left, right = equijoin(targets, tail[:, 0])
+                    found = np.concatenate([sources[left, None], tail[right, 1:]], axis=1)
+                    found = _distinct(found, size)
+                else:
+                    started = np.zeros(size, dtype=bool)
+                    started[sources] = True
+                    found = np.flatnonzero(started)[:, None]
+            else:  # UNION
+                parts = [
+                    _extend(rows(side, wanted), missing)[:, layout]
+                    for side, (missing, layout) in zip((first, second), layouts[position])
+                ]
+                found = _distinct(np.concatenate(parts), size)
+            if projected:
+                found = found.copy()
+                found[:, 0] = 0
+                found = _distinct(found, size)
+            tables.append(found)
+
+        missing, layout = plan.final
+        valuations = _extend(_distinct(tables[plan.root][:, 1:], size), missing)
+        answers = _expand(valuations, size)[:, layout]
+        return frozenset(map(tuple, answers.tolist()))
+
+    def _demand(self, plan: Fig8Plan, table: MCTable) -> tuple[list, dict, dict]:
+        """Top-down pass: each instruction's start nodes, and what leaves reach.
+
+        The root is asked about every MC-true node; every other demand is a
+        subset of its own MC column, so ``vals`` never visits a start node
+        without valuations.  ``None`` stands for an empty demand.  A leaf
+        records its pairs into the tail's column (``pairs``), or only the
+        nodes it reaches when its table is projected (``reached``).
+        """
+        columns = table.columns
+        demand: list = [None] * len(plan.instructions)
+        pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        reached: dict[int, np.ndarray] = {}
+
+        def ask(position: int, nodes: np.ndarray) -> None:
+            known = demand[position]
+            demand[position] = nodes if known is None else known | nodes
+
+        ask(plan.root, columns[plan.root])
+        for position in range(len(plan.instructions) - 1, -1, -1):
+            wanted = demand[position]
+            if wanted is None:
+                continue
+            if not wanted.any():
+                demand[position] = None
+                continue
+            opcode, first, second = plan.instructions[position]
+            if opcode == UNION:
+                ask(first, wanted & columns[first])
+                ask(second, wanted & columns[second])
+            elif opcode == LEAF and plan.projected[position]:
+                nodes = table.oracle.image(first, wanted) & columns[second]
+                reached[position] = nodes
+                ask(second, nodes)
+            elif opcode == LEAF:
+                sources, targets = table.oracle.edges(first, wanted, columns[second])
+                pairs[position] = (sources, targets)
+                nodes = np.zeros(self.tree.size, dtype=bool)
+                nodes[targets] = True
+                ask(second, nodes)
+            elif opcode == FILTER:
+                ask(first, wanted)
+                ask(second, wanted)
+            elif opcode == VAR:
+                ask(second, wanted)
+        return demand, pairs, reached
 
 
 def answer_hcl(

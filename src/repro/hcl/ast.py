@@ -42,6 +42,16 @@ class HclExpr:
                 names.add(sub.name)
         return frozenset(names)
 
+    @cached_property
+    def answer_plans(self) -> dict:
+        """Compiled Fig. 8 plans of this formula, keyed by output variables.
+
+        Filled by :func:`repro.hcl.answering.plan_for`, so a query answered
+        on many documents is normalised and compiled once.  Like every
+        cached property it is left out of pickles.
+        """
+        return {}
+
     def children(self) -> tuple["HclExpr", ...]:
         """Direct sub-formulas."""
         return ()

@@ -12,6 +12,13 @@ interface for the three instantiations of ``L`` used in the library:
 * :class:`ExplicitRelationOracle` — ``L`` = explicitly given node-pair
   relations, used to plug arbitrary binary FO queries (computed elsewhere)
   into HCL, and by hypothesis-generated relations in tests.
+
+The Fig. 8 answerer works on whole node sets: it asks an oracle for
+``preimage(b, targets)``, ``image(b, sources)`` and
+``edges(b, sources, targets)`` over Boolean node vectors.
+:class:`PPLbinOracle` answers them set-at-a-time
+(:mod:`repro.pplbin.setwise`); every other oracle gets them from its
+``pairs()`` through :class:`PairsSetwise` (see :func:`setwise_oracle`).
 """
 
 from __future__ import annotations
@@ -23,8 +30,10 @@ import numpy as np
 from repro.errors import EvaluationError
 from repro.trees.axes import Axis, axis_matrix, label_vector
 from repro.trees.tree import Tree
+from repro.pplbin import setwise
 from repro.pplbin.ast import BinExpr
 from repro.pplbin.evaluator import PPLbinEvaluator
+from repro.pplbin.parser import parse_pplbin
 
 
 class BinaryQueryOracle(Protocol):
@@ -34,6 +43,9 @@ class BinaryQueryOracle(Protocol):
     ``successors(b, u)`` returns all ``v`` with ``(u, v) in q_b(t)``.  Both
     are expected to be cheap after a one-time precompilation per distinct
     ``b`` (this is the ``sum_b p(|b|, |t|)`` term of Propositions 10/11).
+    The set-at-a-time methods the answerer uses (``preimage``, ``image``,
+    ``edges``) are optional: :func:`setwise_oracle` derives them from
+    ``pairs``.
     """
 
     def pairs(self, query: Any) -> Iterable[tuple[int, int]]:  # pragma: no cover
@@ -83,12 +95,86 @@ class PPLbinOracle:
         """Return True when ``node`` has at least one successor."""
         return self._evaluator.has_successor(query, node)
 
+    def preimage(self, query: BinExpr | str, targets: np.ndarray) -> np.ndarray:
+        """Return the nodes with a successor in ``targets`` (Boolean vectors)."""
+        return setwise.preimage(self.tree, _parsed(query), targets, self.relation)
 
-class AxisOracle:
+    def image(self, query: BinExpr | str, sources: np.ndarray) -> np.ndarray:
+        """Return the nodes with a predecessor in ``sources`` (Boolean vectors)."""
+        return setwise.image(self.tree, _parsed(query), sources, self.relation)
+
+    def edges(
+        self, query: BinExpr | str, sources: np.ndarray, targets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Return the query's pairs from ``sources`` into ``targets``."""
+        return setwise.edges(self.tree, _parsed(query), sources, targets, self.relation)
+
+
+def _parsed(query: BinExpr | str) -> BinExpr:
+    return parse_pplbin(query) if isinstance(query, str) else query
+
+
+class PairsSetwise:
+    """Set-at-a-time ``preimage``/``image``/``edges`` from an oracle's ``pairs()``.
+
+    Each query's pairs are listed once into two int64 columns; every
+    set-at-a-time question is then one vectorised mask over them.
+    """
+
+    _pair_columns: dict
+
+    def _columns(self, query: Any) -> tuple[np.ndarray, np.ndarray]:
+        cached = self._pair_columns.get(query)
+        if cached is None:
+            pairs = sorted(self.pairs(query))
+            cached = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            self._pair_columns[query] = cached
+        return cached[0], cached[1]
+
+    def preimage(self, query: Any, targets: np.ndarray) -> np.ndarray:
+        """Return the nodes with a successor in ``targets`` (Boolean vectors)."""
+        sources, ends = self._columns(query)
+        result = np.zeros(targets.size, dtype=bool)
+        result[sources[targets[ends]]] = True
+        return result
+
+    def image(self, query: Any, sources: np.ndarray) -> np.ndarray:
+        """Return the nodes with a predecessor in ``sources`` (Boolean vectors)."""
+        starts, ends = self._columns(query)
+        result = np.zeros(sources.size, dtype=bool)
+        result[ends[sources[starts]]] = True
+        return result
+
+    def edges(
+        self, query: Any, sources: np.ndarray, targets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Return the query's pairs from ``sources`` into ``targets``."""
+        starts, ends = self._columns(query)
+        keep = sources[starts] & targets[ends]
+        return starts[keep], ends[keep]
+
+
+class _PairsAdapter(PairsSetwise):
+    """:class:`PairsSetwise` over a foreign oracle offering only ``pairs()``."""
+
+    def __init__(self, oracle: BinaryQueryOracle) -> None:
+        self.pairs = oracle.pairs
+        self._pair_columns = {}
+
+
+def setwise_oracle(oracle: BinaryQueryOracle):
+    """Return ``oracle`` itself when it answers set-at-a-time, else an adapter."""
+    if all(hasattr(oracle, name) for name in ("preimage", "image", "edges")):
+        return oracle
+    return _PairsAdapter(oracle)
+
+
+class AxisOracle(PairsSetwise):
     """Oracle whose binary queries are ``(axis, nametest)`` pairs or bare axes."""
 
     def __init__(self, tree: Tree) -> None:
         self.tree = tree
+        self._pair_columns = {}
 
     def _matrix(self, query) -> np.ndarray:
         axis, nametest = query if isinstance(query, tuple) else (query, None)
@@ -109,7 +195,7 @@ class AxisOracle:
         return np.flatnonzero(self._matrix(query)[node]).tolist()
 
 
-class ExplicitRelationOracle:
+class ExplicitRelationOracle(PairsSetwise):
     """Oracle over explicitly materialised relations.
 
     ``relations`` maps a query name (any hashable) to an iterable of node
@@ -120,6 +206,7 @@ class ExplicitRelationOracle:
     def __init__(self, relations: Mapping[Any, Iterable[tuple[int, int]]]) -> None:
         self._pairs: dict[Any, frozenset[tuple[int, int]]] = {}
         self._successors: dict[Any, dict[int, list[int]]] = {}
+        self._pair_columns = {}
         for name, pairs in relations.items():
             frozen = frozenset(tuple(pair) for pair in pairs)
             self._pairs[name] = frozen
@@ -150,3 +237,4 @@ class ExplicitRelationOracle:
         for source, target in sorted(frozen):
             by_source.setdefault(source, []).append(target)
         self._successors[query] = by_source
+        self._pair_columns.pop(query, None)

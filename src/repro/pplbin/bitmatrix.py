@@ -96,7 +96,7 @@ else:  # pragma: no cover - numpy < 2.0 fallback
 
 # ------------------------------------------------------------------ counters
 _counter_lock = threading.Lock()
-_counters = {"full_compose": 0, "row_union": 0, "relations_built": 0}
+_counters = {"full_compose": 0, "row_union": 0, "relations_built": 0, "set_steps": 0}
 
 
 def _count(name: str, amount: int = 1) -> None:
@@ -109,8 +109,9 @@ def counters() -> dict:
 
     ``full_compose`` counts full matrix products, ``row_union`` counts
     demand-driven single-row products, ``relations_built`` counts relation
-    materialisations from axis/row data.  Tests assert on these to prove the
-    demand-driven paths never touch a full product.
+    materialisations from axis/row data, ``set_steps`` counts the O(|t|)
+    set-at-a-time axis steps of :mod:`repro.pplbin.setwise`.  Tests assert
+    on these to prove the demand-driven paths never touch a full product.
     """
     with _counter_lock:
         return dict(_counters)

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from repro.errors import EvaluationError
-from repro.trees.axes import Axis
+from repro.trees.axes import Axis, axis_image
 from repro.trees.tree import Tree
 from repro.pplbin.ast import (
     BCompose,
@@ -35,83 +37,13 @@ NodeSet = frozenset
 
 
 def axis_successor_set(tree: Tree, axis: Axis, sources: Iterable[int]) -> frozenset[int]:
-    """Return ``S_axis(N)`` in time O(|t|) using one structural pass per axis."""
-    source_set = set(sources)
-    if axis is Axis.SELF:
-        return frozenset(source_set)
-    if axis is Axis.CHILD:
-        result = set()
-        for node in source_set:
-            result.update(tree.children(node))
-        return frozenset(result)
-    if axis is Axis.PARENT:
-        return frozenset(
-            tree.parent[node] for node in source_set if tree.parent[node] is not None
-        )
-    if axis is Axis.FIRST_CHILD:
-        return frozenset(
-            tree.children(node)[0] for node in source_set if tree.children(node)
-        )
-    if axis is Axis.NEXT_SIBLING:
-        return frozenset(
-            tree.next_sibling[node]
-            for node in source_set
-            if tree.next_sibling[node] is not None
-        )
-    if axis is Axis.PREVIOUS_SIBLING:
-        return frozenset(
-            tree.prev_sibling[node]
-            for node in source_set
-            if tree.prev_sibling[node] is not None
-        )
-    if axis in (Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
-        # One preorder pass carrying the "has an ancestor in N" flag.
-        result = set()
-        flags = [False] * tree.size
-        for node in tree.nodes():
-            parent = tree.parent[node]
-            ancestor_marked = parent is not None and (flags[parent] or parent in source_set)
-            flags[node] = ancestor_marked
-            if ancestor_marked or (axis is Axis.DESCENDANT_OR_SELF and node in source_set):
-                result.add(node)
-        return frozenset(result)
-    if axis in (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
-        # One reverse-preorder pass carrying the "has a descendant in N" flag.
-        result = set()
-        flags = [False] * tree.size
-        for node in reversed(range(tree.size)):
-            marked = any(
-                flags[child] or child in source_set for child in tree.children(node)
-            )
-            flags[node] = marked
-            if marked or (axis is Axis.ANCESTOR_OR_SELF and node in source_set):
-                result.add(node)
-        return frozenset(result)
-    if axis in (Axis.FOLLOWING_SIBLING, Axis.PRECEDING_SIBLING):
-        # One left-to-right (or right-to-left) sweep per sibling group.
-        result = set()
-        for parent in tree.nodes():
-            siblings = tree.children(parent)
-            if not siblings:
-                continue
-            ordered = siblings if axis is Axis.FOLLOWING_SIBLING else tuple(reversed(siblings))
-            seen = False
-            for sibling in ordered:
-                if seen:
-                    result.add(sibling)
-                if sibling in source_set:
-                    seen = True
-        return frozenset(result)
-    if axis is Axis.FOLLOWING:
-        # following(N) = descendant-or-self(following-sibling(ancestor-or-self(N)))
-        step1 = axis_successor_set(tree, Axis.ANCESTOR_OR_SELF, source_set)
-        step2 = axis_successor_set(tree, Axis.FOLLOWING_SIBLING, step1)
-        return axis_successor_set(tree, Axis.DESCENDANT_OR_SELF, step2)
-    if axis is Axis.PRECEDING:
-        step1 = axis_successor_set(tree, Axis.ANCESTOR_OR_SELF, source_set)
-        step2 = axis_successor_set(tree, Axis.PRECEDING_SIBLING, step1)
-        return axis_successor_set(tree, Axis.DESCENDANT_OR_SELF, step2)
-    raise EvaluationError(f"unsupported axis {axis!r}")  # pragma: no cover
+    """Return ``S_axis(N)`` in time O(|t|): one vectorised pass over the tree.
+
+    See :func:`repro.trees.axes.axis_image`.
+    """
+    mask = np.zeros(tree.size, dtype=bool)
+    mask[np.fromiter(sources, dtype=np.int64)] = True
+    return frozenset(np.flatnonzero(axis_image(tree, axis, mask)).tolist())
 
 
 def successor_set(tree: Tree, expression: BinExpr | str, sources: Iterable[int]) -> frozenset[int]:

@@ -242,8 +242,10 @@ class Session:
             _trace.set_trace_sample(sample)
         self.store = store if store is not None else self._build_store()
         self._plan_cache = self._build_plan_cache(plan_cache)
+        from repro.api.query import PlanMemo
+
         #: In-memory compiled-plan memo shared by the sync and async paths.
-        self._plans: dict[tuple[Any, tuple[str, ...]], "Query"] = {}
+        self._plans = PlanMemo()
         self._executor: Optional["CorpusExecutor"] = None
         self._server: Optional["CorpusServer"] = None
         #: Submissions created through :meth:`astream`, for aclose teardown.

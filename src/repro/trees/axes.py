@@ -7,13 +7,16 @@ We additionally provide the standard derived axes (``descendant-or-self``,
 ``firstchild``, ``nextsibling`` and ``previoussibling`` used by the binary
 encoding and by the FO signature of Section 2 (``ch`` and ``ns``).
 
-Three access paths are offered, each backing one of the evaluators:
+Four access paths are offered, each backing one of the evaluators:
 
 * :func:`iter_axis` — lazily iterate the nodes reachable from one node.
 * :func:`axis_pairs` — the full binary relation as a set of pairs.
 * :func:`axis_matrix` — the relation as a ``|t| x |t|`` Boolean numpy matrix
   (used by the PPLbin matrix evaluator of Theorem 2).  Matrices are cached on
   the tree.
+* :func:`axis_preimage` / :func:`axis_image` / :func:`axis_edges` — whole
+  node sets at a time, in O(|t|) vector work over the tree's arrays (used by
+  the Fig. 8 answerer through :mod:`repro.pplbin.setwise`).
 """
 
 from __future__ import annotations
@@ -230,10 +233,13 @@ def label_vector(tree: Tree, label: str | None) -> np.ndarray:
     """Return a Boolean vector selecting nodes with ``label``.
 
     ``label`` of ``None`` (the ``*`` name test) selects every node.  The
-    vector is cached on the tree and returned read-only.
+    vector is cached on the tree and returned read-only.  A label absent
+    from the tree shares one all-false entry, so a stream of never-matching
+    name tests does not grow the cache.
     """
     cache = tree.matrix_cache()
-    key = ("label", label)
+    absent = label is not None and not tree.nodes_with_label(label)
+    key = ("label-absent",) if absent else ("label", label)
     cached = cache.get(key)
     if cached is not None:
         return cached
@@ -241,11 +247,235 @@ def label_vector(tree: Tree, label: str | None) -> np.ndarray:
         vector = np.ones(tree.size, dtype=bool)
     else:
         vector = np.zeros(tree.size, dtype=bool)
-        for node in tree.nodes_with_label(label):
-            vector[node] = True
+        vector[list(tree.nodes_with_label(label))] = True
     vector.setflags(write=False)
     cache[key] = vector
     return vector
+
+
+# ----------------------------------------------------- set-at-a-time steps
+class TreeArrays:
+    """The tree's structure as int64 numpy columns (``-1`` = no such node).
+
+    ``parent``, ``end`` (``subtree_end``), ``first_child``, ``next_sibling``
+    and ``prev_sibling`` are indexed by node.  Every axis step of
+    :func:`axis_preimage` and :func:`axis_edges` is a handful of O(|t|)
+    vector operations over them (the Section 4 set-at-a-time evaluation).
+    """
+
+    __slots__ = ("parent", "end", "first_child", "next_sibling", "prev_sibling", "nodes")
+
+    def __init__(self, tree: Tree) -> None:
+        def column(values) -> np.ndarray:
+            return np.array([-1 if v is None else v for v in values], dtype=np.int64)
+
+        self.parent = column(tree.parent)
+        self.end = np.array(tree.subtree_end, dtype=np.int64)
+        self.first_child = column(kids[0] if kids else None for kids in tree.children_of)
+        self.next_sibling = column(tree.next_sibling)
+        self.prev_sibling = column(tree.prev_sibling)
+        self.nodes = np.arange(tree.size, dtype=np.int64)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(getattr(self, name).nbytes for name in self.__slots__)
+
+
+def tree_arrays(tree: Tree) -> TreeArrays:
+    """Return (and cache on the tree) the :class:`TreeArrays` of ``tree``."""
+    cache = tree.matrix_cache()
+    arrays = cache.get(("tree-arrays",))
+    if arrays is None:
+        arrays = TreeArrays(tree)
+        cache[("tree-arrays",)] = arrays
+    return arrays
+
+
+def _linked(links: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Nodes whose (single) ``links`` node lies in ``targets``."""
+    return (links >= 0) & targets[links]
+
+
+def axis_preimage(tree: Tree, axis: Axis, targets: np.ndarray) -> np.ndarray:
+    """Return ``{u | exists v in targets: axis(u, v)}`` as a Boolean vector.
+
+    ``targets`` is a Boolean vector over the nodes.  Each axis costs O(|t|)
+    vector work over :class:`TreeArrays`: descendant counts targets in the
+    preorder interval ``(u, end[u]]`` with a prefix sum, ancestor marks the
+    target intervals with a difference array, ``following`` is
+    ``end[u] < max(targets)`` and ``preceding`` is
+    ``u > min(end[targets])``.
+    """
+    a = tree_arrays(tree)
+    size = tree.size
+    hits = np.flatnonzero(targets)
+    if not hits.size:
+        return np.zeros(size, dtype=bool)
+    if axis is Axis.SELF:
+        return targets.copy()
+    if axis is Axis.CHILD:
+        result = np.zeros(size, dtype=bool)
+        parents = a.parent[hits]
+        result[parents[parents >= 0]] = True
+        return result
+    if axis is Axis.PARENT:
+        return _linked(a.parent, targets)
+    if axis in (Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
+        counts = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(targets, out=counts[1:])
+        first = a.nodes + 1 if axis is Axis.DESCENDANT else a.nodes
+        return counts[a.end + 1] > counts[first]
+    if axis in (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
+        opens = hits + 1 if axis is Axis.ANCESTOR else hits
+        marks = np.bincount(opens, minlength=size + 1) - np.bincount(
+            a.end[hits] + 1, minlength=size + 1
+        )
+        return np.cumsum(marks[:size]) > 0
+    if axis in (Axis.FOLLOWING_SIBLING, Axis.PRECEDING_SIBLING):
+        parents = a.parent[hits]
+        inner = parents >= 0
+        parents, hits = parents[inner], hits[inner]
+        # Per parent, the last (first) target child; index ``size`` stands
+        # for the root's missing parent and never matches.
+        if axis is Axis.FOLLOWING_SIBLING:
+            bound = np.full(size + 1, -1, dtype=np.int64)
+            np.maximum.at(bound, parents, hits)
+            return a.nodes < bound[a.parent]
+        bound = np.full(size + 1, size, dtype=np.int64)
+        np.minimum.at(bound, parents, hits)
+        return a.nodes > bound[a.parent]
+    if axis is Axis.FOLLOWING:
+        return a.end < hits[-1]
+    if axis is Axis.PRECEDING:
+        return a.nodes > a.end[hits].min()
+    if axis is Axis.FIRST_CHILD:
+        return _linked(a.first_child, targets)
+    if axis is Axis.NEXT_SIBLING:
+        return _linked(a.next_sibling, targets)
+    if axis is Axis.PREVIOUS_SIBLING:
+        return _linked(a.prev_sibling, targets)
+    raise TreeError(f"unsupported axis {axis!r}")  # pragma: no cover - exhaustive enum
+
+
+def axis_image(tree: Tree, axis: Axis, sources: np.ndarray) -> np.ndarray:
+    """Return ``{v | exists u in sources: axis(u, v)}`` as a Boolean vector.
+
+    The pre-image under the inverse axis; ``firstchild``, whose inverse is
+    not an axis, reads the first-child links directly.
+    """
+    if axis is Axis.FIRST_CHILD:
+        result = np.zeros(tree.size, dtype=bool)
+        firsts = tree_arrays(tree).first_child[sources]
+        result[firsts[firsts >= 0]] = True
+        return result
+    return axis_preimage(tree, INVERSE_AXIS[axis], sources)
+
+
+def range_pairs(
+    sources: np.ndarray, low: np.ndarray, high: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pair each ``sources[i]`` with ``values[low[i]:high[i]]``, vectorised."""
+    counts = np.maximum(high - low, 0)
+    total = int(counts.sum())
+    if not total:
+        return _NO_PAIRS
+    offsets = np.repeat(low - (np.cumsum(counts) - counts), counts)
+    return np.repeat(sources, counts), values[np.arange(total) + offsets]
+
+
+_EMPTY_INDEX = np.zeros(0, dtype=np.int64)
+_NO_PAIRS = (_EMPTY_INDEX, _EMPTY_INDEX)
+
+
+def equijoin(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return index arrays ``(i, j)`` of every pair with ``left[i] == right[j]``."""
+    order = np.argsort(right, kind="stable")
+    ordered = right[order]
+    low = np.searchsorted(ordered, left, "left")
+    high = np.searchsorted(ordered, left, "right")
+    return range_pairs(np.arange(left.size), low, high, order)
+
+
+def axis_edges(
+    tree: Tree, axis: Axis, sources: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return the ``axis`` pairs from ``sources`` into ``targets``.
+
+    Both arguments are Boolean vectors; the result is two int64 arrays
+    ``(us, vs)`` listing every ``(u, v)`` with ``u`` in ``sources``, ``v``
+    in ``targets`` and ``axis(u, v)``, each pair once.  The cost is
+    O(|t| log |t|) plus the output: interval axes are range lookups in the
+    sorted targets, ancestor walks parent links level by level.
+    """
+    a = tree_arrays(tree)
+    size = tree.size
+    starts = np.flatnonzero(sources)
+    ends = np.flatnonzero(targets)
+    if not starts.size or not ends.size:
+        return _NO_PAIRS
+    if axis is Axis.SELF:
+        both = np.flatnonzero(sources & targets)
+        return both, both
+    if axis is Axis.CHILD:
+        parents = a.parent[ends]
+        keep = _linked(parents, sources)
+        return parents[keep], ends[keep]
+    if axis in (Axis.PARENT, Axis.FIRST_CHILD, Axis.NEXT_SIBLING, Axis.PREVIOUS_SIBLING):
+        links = {
+            Axis.PARENT: a.parent,
+            Axis.FIRST_CHILD: a.first_child,
+            Axis.NEXT_SIBLING: a.next_sibling,
+            Axis.PREVIOUS_SIBLING: a.prev_sibling,
+        }[axis][starts]
+        keep = _linked(links, targets)
+        return starts[keep], links[keep]
+    if axis in (Axis.DESCENDANT, Axis.DESCENDANT_OR_SELF):
+        first = starts + 1 if axis is Axis.DESCENDANT else starts
+        low = np.searchsorted(ends, first)
+        high = np.searchsorted(ends, a.end[starts] + 1)
+        return range_pairs(starts, low, high, ends)
+    if axis in (Axis.ANCESTOR, Axis.ANCESTOR_OR_SELF):
+        us: list[np.ndarray] = []
+        vs: list[np.ndarray] = []
+        if axis is Axis.ANCESTOR_OR_SELF:
+            both = np.flatnonzero(sources & targets)
+            us.append(both)
+            vs.append(both)
+        below, current = starts, a.parent[starts]
+        while True:
+            alive = current >= 0
+            below, current = below[alive], current[alive]
+            if not below.size:
+                break
+            hit = targets[current]
+            us.append(below[hit])
+            vs.append(current[hit])
+            current = a.parent[current]
+        return np.concatenate(us), np.concatenate(vs)
+    if axis in (Axis.FOLLOWING_SIBLING, Axis.PRECEDING_SIBLING):
+        # Sibling groups are contiguous under the key parent * |t| + node.
+        parents = a.parent[ends]
+        inner = parents >= 0
+        keys = parents[inner] * size + ends[inner]
+        starts = starts[a.parent[starts] >= 0]
+        base = a.parent[starts] * size
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        if axis is Axis.FOLLOWING_SIBLING:
+            low = np.searchsorted(keys, base + starts + 1)
+            high = np.searchsorted(keys, base + size)
+        else:
+            low = np.searchsorted(keys, base)
+            high = np.searchsorted(keys, base + starts)
+        return range_pairs(starts, low, high, ends[inner][order])
+    if axis is Axis.FOLLOWING:
+        low = np.searchsorted(ends, a.end[starts] + 1)
+        return range_pairs(starts, low, np.full(starts.size, ends.size), ends)
+    if axis is Axis.PRECEDING:
+        order = np.argsort(a.end[ends], kind="stable")
+        high = np.searchsorted(a.end[ends][order], starts)
+        return range_pairs(starts, np.zeros(starts.size, dtype=np.int64), high, ends[order])
+    raise TreeError(f"unsupported axis {axis!r}")  # pragma: no cover - exhaustive enum
 
 
 def successors(tree: Tree, axis: Axis, node: int, label: str | None = None) -> list[int]:

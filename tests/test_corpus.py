@@ -136,7 +136,10 @@ class TestDocumentStore:
     def test_store_documents_memoise_answers(self, store):
         document = store.get("doc000")
         first = document.answer(PAIR_QUERY, PAIR_VARS)
-        assert document.answer(PAIR_QUERY, PAIR_VARS) is first
+        hits = store.answer_cache.stats.hits
+        # A hit rebuilds the set from the cache's packed rows.
+        assert document.answer(PAIR_QUERY, PAIR_VARS) == first
+        assert store.answer_cache.stats.hits == hits + 1
         # Ad-hoc documents do not memoise (two equal but distinct frozensets).
         adhoc = Document(generate_bibliography(2, seed=0))
         assert adhoc.answer(PAIR_QUERY, PAIR_VARS) is not adhoc.answer(

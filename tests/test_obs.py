@@ -819,12 +819,13 @@ class TestCostAccounting:
             "compose_ops",
             "row_union_ops",
             "relations_built",
+            "set_steps",
             "matrix_bytes",
             "matrix_cache_hits",
             "matrix_cache_misses",
         ):
             assert key in cost
-        assert cost["relations_built"] > 0  # the pair query materialises relations
+        assert cost["set_steps"] > 0  # the pair query runs set-at-a-time axis steps
         json.dumps(cost)  # the block is plain JSON-serialisable data
 
     def test_corpus_results_carry_cost_blocks(self):
@@ -841,9 +842,9 @@ class TestCostAccounting:
             results = list(executor.run((PAIR_QUERY, list(PAIR_VARS))))
             merged = executor.metrics()
         labels = {"engine": "polynomial", "strategy": "serial"}
-        counter = merged.get("repro_relations_built_total", labels)
+        counter = merged.get("repro_set_steps_total", labels)
         assert counter is not None
-        expected = sum(result.report.cost["relations_built"] for result in results)
+        expected = sum(result.report.cost["set_steps"] for result in results)
         assert counter.value == expected > 0
 
     def test_processes_strategy_ships_cost_counters_back(self):
@@ -852,11 +853,11 @@ class TestCostAccounting:
             results = list(executor.run((PAIR_QUERY, list(PAIR_VARS))))
             merged = executor.metrics()
         counter = merged.get(
-            "repro_relations_built_total",
+            "repro_set_steps_total",
             {"engine": "polynomial", "strategy": "processes"},
         )
         assert counter is not None
-        expected = sum(result.report.cost["relations_built"] for result in results)
+        expected = sum(result.report.cost["set_steps"] for result in results)
         assert counter.value == expected > 0
 
     def test_server_attributes_costs_per_client(self):
@@ -870,7 +871,7 @@ class TestCostAccounting:
             totals = per_client["anonymous"]  # direct submissions have no peer
             assert totals["queries"] == 3
             assert totals["queue_wait"] >= 0
-            assert totals["relations_built"] > 0
+            assert totals["set_steps"] > 0
             assert totals["seconds"] > 0
             assert "cost_per_client" in stats.to_dict()
             json.dumps(stats.to_dict())

@@ -365,6 +365,26 @@ class TestAnswerCache:
         assert len(cache) == 0
         assert cache.get(("a",)) is None
 
+    def test_answer_sets_are_stored_packed(self):
+        answers = frozenset((index, index + 1) for index in range(640))
+        cache = AnswerCache()
+        cache.put(("a",), answers)
+        # Sorted int32 rows: 640 * 2 * 4 bytes plus small object headers.
+        assert 640 * 2 * 4 <= cache.stats.current_bytes < 640 * 2 * 4 + 512
+        assert cache.get(("a",)) == answers
+        cache.put(("empty",), frozenset())
+        cache.put(("boolean",), frozenset({()}))
+        assert cache.get(("empty",)) == frozenset()
+        assert cache.get(("boolean",)) == frozenset({()})
+
+    def test_spellings_of_one_query_share_an_entry(self):
+        store = make_store(1)
+        document = store.get("doc000")
+        first = document.answer(PAIR_QUERY, PAIR_VARS)
+        respaced = PAIR_QUERY.replace("[", "[ ").replace("]", " ]")
+        assert document.answer(respaced, PAIR_VARS) == first
+        assert store.answer_cache.stats.hits == 1
+
     def test_drop_owner_scopes_by_prefix(self):
         cache = AnswerCache()
         cache.put(("one", "q"), frozenset({(1,)}))

@@ -315,6 +315,14 @@ class TestSharedPlans:
 
         run(body())
 
+    def test_plan_memo_is_bounded(self):
+        from repro.api.query import PLAN_MEMO_ENTRIES
+
+        with Session() as session:
+            for index in range(PLAN_MEMO_ENTRIES + 10):
+                session.compile(f"descendant::u{index}[. is $x]", ["x"])
+            assert session.stats()["plans_in_memory"] == PLAN_MEMO_ENTRIES
+
     def test_sync_async_and_corpus_answers_agree(self):
         async def body():
             async with Session() as session:

@@ -111,6 +111,14 @@ def test_label_vector(tiny_tree):
     assert label_vector(tiny_tree, None).all()
 
 
+def test_absent_labels_share_one_cache_entry(tiny_tree):
+    label_vector(tiny_tree, "missing-1")
+    entries = len(tiny_tree.matrix_cache())
+    for index in range(2, 10):
+        assert not label_vector(tiny_tree, f"missing-{index}").any()
+    assert len(tiny_tree.matrix_cache()) == entries
+
+
 def test_successors_with_label_filter(tiny_tree):
     assert successors(tiny_tree, Axis.DESCENDANT, 0, "b") == [1, 4]
     assert successors(tiny_tree, Axis.CHILD, 2) == [3, 4]

@@ -451,6 +451,8 @@ def axis_edges(
             us.append(below[hit])
             vs.append(current[hit])
             current = a.parent[current]
+        if not us:  # every source is the root: no proper ancestors
+            return _NO_PAIRS
         return np.concatenate(us), np.concatenate(vs)
     if axis in (Axis.FOLLOWING_SIBLING, Axis.PRECEDING_SIBLING):
         # Sibling groups are contiguous under the key parent * |t| + node.

@@ -9,6 +9,7 @@ from repro.trees.axes import (
     CORE_AXES,
     INVERSE_AXIS,
     Axis,
+    axis_edges,
     axis_matrix,
     axis_nodes,
     axis_pairs,
@@ -117,6 +118,21 @@ def test_absent_labels_share_one_cache_entry(tiny_tree):
     for index in range(2, 10):
         assert not label_vector(tiny_tree, f"missing-{index}").any()
     assert len(tiny_tree.matrix_cache()) == entries
+
+
+def test_axis_edges_match_axis_pairs_on_every_subset(tiny_tree):
+    # Includes source sets with no axis successors at all, such as the root
+    # alone under ancestor, which must give no pairs rather than fail.
+    size = tiny_tree.size
+    for axis in AXES:
+        full = set(axis_pairs(tiny_tree, axis))
+        for source_bits in range(1, 2**size):
+            sources = np.array([(source_bits >> n) & 1 == 1 for n in range(size)])
+            for target_bits in (1, 2**size - 1, source_bits):
+                targets = np.array([(target_bits >> n) & 1 == 1 for n in range(size)])
+                us, vs = axis_edges(tiny_tree, axis, sources, targets)
+                expected = {(u, v) for u, v in full if sources[u] and targets[v]}
+                assert sorted(zip(us.tolist(), vs.tolist())) == sorted(expected)
 
 
 def test_successors_with_label_filter(tiny_tree):

@@ -3,9 +3,8 @@
 The scenario isolates what the :mod:`repro.snapshot` subsystem is for:
 *startup latency*.  A cold corpus start pays XML parsing, tree numbering
 and the first evaluation for every document; a warm start over a populated
-snapshot directory memmaps the columnar snapshots (O(1), no parsing), seeds
-the packed-bitset axis relations straight off the mapping, and serves the
-first answer set from the on-disk spill.
+snapshot directory memmaps the columnar snapshots (O(1), no parsing) and
+serves the first answer set from the on-disk spill.
 
 Three passes over the same generated corpus (the E10 64-document corpus at
 full scale):

@@ -17,10 +17,9 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Document
-from repro.pplbin import matrix as bm
-from repro.pplbin.evaluator import MatmulKernel
 from repro.workloads.bibliography import bibliography_pair_query, generate_bibliography
 
+import matmul_baselines as bm
 from bench_utils import run_once
 
 BOOK_COUNTS = [5, 10, 20, 40, 80]
@@ -30,7 +29,7 @@ KERNELS = ["uint8-dense", "dense", "adaptive"]
 
 
 def _kernel(name):
-    return MatmulKernel(bm.bool_matmul) if name == "uint8-dense" else name
+    return bm.MatmulKernel(bm.bool_matmul) if name == "uint8-dense" else name
 
 
 @pytest.mark.parametrize("books", BOOK_COUNTS)

@@ -36,11 +36,11 @@ import pytest
 from repro.obs import calibrate as obs_calibrate
 from repro.trees.generators import random_tree
 from repro.pplbin import bitmatrix
-from repro.pplbin import matrix as bm
 from repro.pplbin.bitmatrix import KERNEL_NAMES
-from repro.pplbin.evaluator import MatmulKernel, evaluate_relation
+from repro.pplbin.evaluator import evaluate_relation
 from repro.pplbin.parser import parse_pplbin
 
+import matmul_baselines as bm
 from bench_utils import run_once, run_single
 
 SMOKE = os.environ.get("REPRO_BENCH_SCALE", "").lower() == "smoke"
@@ -108,7 +108,7 @@ def test_uint8_dense_baseline(benchmark, size, query_kind):
     """The seed's uint8-cast dense product — the bar the bitset kernel beats."""
     tree = _tree(size)
     expression = parse_pplbin(QUERIES[query_kind])
-    kernel = MatmulKernel(bm.bool_matmul)
+    kernel = bm.MatmulKernel(bm.bool_matmul)
 
     def evaluate():
         return evaluate_relation(tree, expression, kernel=kernel, use_cache=False)
@@ -122,7 +122,7 @@ def test_uint8_dense_baseline(benchmark, size, query_kind):
 def test_triple_loop_product(benchmark, size):
     tree = _tree(size)
     expression = parse_pplbin(SPARSE_QUERY)
-    kernel = MatmulKernel(bm.bool_matmul_python)
+    kernel = bm.MatmulKernel(bm.bool_matmul_python)
 
     def evaluate():
         return evaluate_relation(tree, expression, kernel=kernel, use_cache=False)
@@ -214,7 +214,7 @@ def test_legacy_sparse_sets_product(benchmark, size):
     """The seed's python successor-set matmul (superseded by SparseRelation)."""
     tree = _tree(size)
     expression = parse_pplbin(SPARSE_QUERY)
-    kernel = MatmulKernel(bm.bool_matmul_sparse)
+    kernel = bm.MatmulKernel(bm.bool_matmul_sparse)
 
     def evaluate():
         return evaluate_relation(tree, expression, kernel=kernel, use_cache=False)

@@ -1,4 +1,4 @@
-"""Boolean matrix algebra over node-pair relations.
+"""The dense Boolean matrix products the E2/E9 baselines measure.
 
 Section 4 of the paper evaluates PPLbin by representing each binary query as
 a ``|t| x |t|`` Boolean matrix and interpreting the operators as matrix
@@ -9,16 +9,46 @@ operations over the Boolean semiring:
 * ``except`` (complement)->  element-wise negation,
 * ``[P]``                ->  the diagonal matrix of rows with at least one 1.
 
-Two product implementations are provided: a vectorised numpy product (the
-default) and a pure-Python triple loop used by the ablation experiment E9 to
-show how much the matrix product dominates the cubic bound of Theorem 2.
+Three products are provided — the seed's uint8-cast numpy product, the
+per-row successor-set product and the pure-Python triple loop — which the
+ablation experiment E9 and the scaling experiment E2 run through
+:class:`MatmulKernel` to show how much the matrix product dominates the cubic
+bound of Theorem 2.  The library's own products live in
+:mod:`repro.pplbin.bitmatrix`.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
+from repro.pplbin import bitmatrix as bx
+
 BoolMatrix = np.ndarray
+MatmulFn = Callable[[BoolMatrix, BoolMatrix], BoolMatrix]
+
+
+class MatmulKernel(bx.DenseKernel):
+    """A dense kernel whose composition is a caller-supplied matmul function.
+
+    Pass an instance as ``kernel=`` to :func:`repro.pplbin.evaluate_relation`
+    or :class:`repro.api.Document`.  The cache token is the function object
+    itself, so two different custom products never share cache entries.
+    """
+
+    def __init__(self, matmul: MatmulFn) -> None:
+        self.matmul = matmul
+        self.name = f"matmul:{getattr(matmul, '__name__', repr(matmul))}"
+
+    @property
+    def cache_token(self):
+        return self.matmul
+
+    def compose(self, left: bx.Relation, right: bx.Relation) -> bx.Relation:
+        bx._count("full_compose")
+        product = self.matmul(left.to_dense(), right.to_dense())
+        return bx.DenseRelation(left.size, np.asarray(product, dtype=bool))
 
 
 def identity_matrix(size: int) -> BoolMatrix:

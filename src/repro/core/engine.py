@@ -8,14 +8,16 @@ registry) answers n-ary PPL queries on a fixed tree in time
 2. check the Definition 1 restrictions,
 3. translate into HCL⁻(PPLbin) (Fig. 7, Proposition 5),
 4. normalise into a sharing formula with equation system (Lemma 3),
-5. evaluate every distinct PPLbin leaf once with the cubic matrix algorithm
-   of Theorem 2,
-6. run the MC-filtered, memoised answering algorithm of Fig. 8
-   (Propositions 10 and 11).
+5. compile the formula into a set-at-a-time answer plan,
+6. run the MC-filtered answering algorithm of Fig. 8 (Propositions 10 and
+   11), asking each PPLbin leaf for pre-images, images and edges of whole
+   node sets; an ``except`` leaf falls back to the cubic matrix algorithm
+   of Theorem 2.
 
-Steps 5 and 6 share a single :class:`repro.hcl.binding.PPLbinOracle`, whose
-matrices are cached on the tree, so answering several queries against the
-same document reuses the per-axis and per-leaf work.  The entry points live
+Step 6 reads the leaves through one :class:`repro.hcl.binding.PPLbinOracle`
+per document, whose tree arrays, label vectors and relations are cached on
+the tree, so answering several queries against the same document reuses
+that work.  The entry points live
 on :class:`repro.api.Document` and :class:`repro.session.Session`; this
 module holds the :class:`QueryReport` those surfaces hand back.  (The
 ``PPLEngine`` shim that used to live here was removed in 1.5.0 — see the

@@ -403,9 +403,9 @@ class DocumentStore:
         With a snapshot store configured, the source payload is digested
         first (re-digested on every load, so an edited file revalidates to
         a different address and can never be served a stale snapshot); a
-        valid snapshot yields a memmap-backed tree with its packed axis
-        relations pre-seeded, a miss parses as usual and writes the
-        snapshot for the next cold start.  Either way the resulting
+        valid snapshot yields a tree rebuilt from its memmapped columns, a
+        miss parses as usual and writes the snapshot for the next cold
+        start.  Either way the resulting
         document carries the store+digest pair so its answers spill to (and
         load from) disk.
         """

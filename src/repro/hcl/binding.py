@@ -6,9 +6,11 @@ of any node in time proportional to its size.  The classes here provide that
 interface for the three instantiations of ``L`` used in the library:
 
 * :class:`PPLbinOracle` — ``L = PPLbin`` (the paper's instantiation for PPL),
-  backed by the Theorem 2 matrix evaluator.
+  answered set-at-a-time over the tree's arrays, with the Theorem 2
+  relation where a whole relation is needed.
 * :class:`AxisOracle` — ``L`` = the raw axes of Core XPath, used by the
-  encodings of Section 6 and by unit tests.
+  encodings of Section 6 and by unit tests; each ``(axis, nametest)`` is
+  answered as the PPLbin step ``axis::nametest``.
 * :class:`ExplicitRelationOracle` — ``L`` = explicitly given node-pair
   relations, used to plug arbitrary binary FO queries (computed elsewhere)
   into HCL, and by hypothesis-generated relations in tests.
@@ -16,7 +18,7 @@ interface for the three instantiations of ``L`` used in the library:
 The Fig. 8 answerer works on whole node sets: it asks an oracle for
 ``preimage(b, targets)``, ``image(b, sources)`` and
 ``edges(b, sources, targets)`` over Boolean node vectors.
-:class:`PPLbinOracle` answers them set-at-a-time
+:class:`PPLbinOracle` and :class:`AxisOracle` answer them set-at-a-time
 (:mod:`repro.pplbin.setwise`); every other oracle gets them from its
 ``pairs()`` through :class:`PairsSetwise` (see :func:`setwise_oracle`).
 """
@@ -28,11 +30,11 @@ from typing import Any, Iterable, Mapping, Protocol
 import numpy as np
 
 from repro.errors import EvaluationError
-from repro.trees.axes import Axis, axis_matrix, label_vector
+from repro.trees.axes import Axis
 from repro.trees.tree import Tree
-from repro.pplbin import setwise
-from repro.pplbin.ast import BinExpr
-from repro.pplbin.evaluator import PPLbinEvaluator
+from repro.pplbin import bitmatrix as bx
+from repro.pplbin import evaluator, setwise
+from repro.pplbin.ast import BinExpr, BStep
 from repro.pplbin.parser import parse_pplbin
 
 
@@ -56,62 +58,60 @@ class BinaryQueryOracle(Protocol):
 
 
 class PPLbinOracle:
-    """Oracle for ``L = PPLbin`` backed by the matrix evaluator of Theorem 2.
+    """Oracle for ``L = PPLbin``.
 
-    Runs on the pluggable relation kernel of
+    ``preimage``/``image``/``edges`` run set-at-a-time over the tree's
+    arrays (:mod:`repro.pplbin.setwise`); ``relation``/``matrix``/``pairs``
+    return the Theorem 2 relation on the pluggable kernel of
     :mod:`repro.pplbin.bitmatrix` (``kernel`` of ``None`` = the process
-    default).  ``successors`` is demand-driven: a cold query answers a row
-    without materialising the full matrix, and the underlying
-    :class:`repro.pplbin.evaluator.PPLbinEvaluator` materialises the full
-    relation only once a query has been probed often enough to amortise it.
+    default), cached on the tree, and ``successors``/``has_successor`` read
+    one row of it.
     """
 
     def __init__(self, tree: Tree, kernel=None) -> None:
         self.tree = tree
-        self._evaluator = PPLbinEvaluator(tree, kernel=kernel)
+        self.kernel = bx.get_kernel(kernel)
 
-    @property
-    def kernel(self):
-        """The relation kernel the oracle evaluates with."""
-        return self._evaluator.kernel
+    def _query(self, query: BinExpr | str) -> BinExpr:
+        return parse_pplbin(query) if isinstance(query, str) else query
 
-    def relation(self, query: BinExpr | str):
+    def _relation(self, expression: BinExpr) -> bx.Relation:
+        # Looked up on the module, so wrappers installed there see every call.
+        return evaluator.evaluate_relation(self.tree, expression, kernel=self.kernel)
+
+    def relation(self, query: BinExpr | str) -> bx.Relation:
         """Return (and cache) the relation of ``query`` on the tree."""
-        return self._evaluator.relation(query)
+        return self._relation(self._query(query))
 
     def matrix(self, query: BinExpr | str) -> np.ndarray:
         """Return (and cache) the Boolean matrix of ``query``."""
-        return self._evaluator.matrix(query)
+        return self.relation(query).to_dense()
 
     def pairs(self, query: BinExpr | str) -> frozenset[tuple[int, int]]:
         """Return ``q_b(t)`` as an explicit set of pairs."""
-        return self._evaluator.pairs(query)
+        return self.relation(query).pairs()
 
     def successors(self, query: BinExpr | str, node: int) -> list[int]:
         """Return all successors of ``node`` under ``query``."""
-        return self._evaluator.successors(query, node)
+        return self.relation(query).row_indices(node).tolist()
 
     def has_successor(self, query: BinExpr | str, node: int) -> bool:
         """Return True when ``node`` has at least one successor."""
-        return self._evaluator.has_successor(query, node)
+        return self.relation(query).row_any(node)
 
     def preimage(self, query: BinExpr | str, targets: np.ndarray) -> np.ndarray:
         """Return the nodes with a successor in ``targets`` (Boolean vectors)."""
-        return setwise.preimage(self.tree, _parsed(query), targets, self.relation)
+        return setwise.preimage(self.tree, self._query(query), targets, self._relation)
 
     def image(self, query: BinExpr | str, sources: np.ndarray) -> np.ndarray:
         """Return the nodes with a predecessor in ``sources`` (Boolean vectors)."""
-        return setwise.image(self.tree, _parsed(query), sources, self.relation)
+        return setwise.image(self.tree, self._query(query), sources, self._relation)
 
     def edges(
         self, query: BinExpr | str, sources: np.ndarray, targets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Return the query's pairs from ``sources`` into ``targets``."""
-        return setwise.edges(self.tree, _parsed(query), sources, targets, self.relation)
-
-
-def _parsed(query: BinExpr | str) -> BinExpr:
-    return parse_pplbin(query) if isinstance(query, str) else query
+        return setwise.edges(self.tree, self._query(query), sources, targets, self._relation)
 
 
 class PairsSetwise:
@@ -169,30 +169,14 @@ def setwise_oracle(oracle: BinaryQueryOracle):
     return _PairsAdapter(oracle)
 
 
-class AxisOracle(PairsSetwise):
+class AxisOracle(PPLbinOracle):
     """Oracle whose binary queries are ``(axis, nametest)`` pairs or bare axes."""
 
-    def __init__(self, tree: Tree) -> None:
-        self.tree = tree
-        self._pair_columns = {}
-
-    def _matrix(self, query) -> np.ndarray:
+    def _query(self, query) -> BinExpr:
         axis, nametest = query if isinstance(query, tuple) else (query, None)
         if not isinstance(axis, Axis):
             raise EvaluationError(f"AxisOracle queries are Axis values, got {axis!r}")
-        matrix = axis_matrix(self.tree, axis)
-        if nametest is None:
-            return matrix
-        return matrix & label_vector(self.tree, nametest)[np.newaxis, :]
-
-    def pairs(self, query) -> frozenset[tuple[int, int]]:
-        """Return the axis relation (optionally label-filtered) as pairs."""
-        rows, cols = np.nonzero(self._matrix(query))
-        return frozenset(zip(rows.tolist(), cols.tolist()))
-
-    def successors(self, query, node: int) -> list[int]:
-        """Return the axis successors of ``node`` (optionally label-filtered)."""
-        return np.flatnonzero(self._matrix(query)[node]).tolist()
+        return BStep(axis, nametest)
 
 
 class ExplicitRelationOracle(PairsSetwise):
@@ -208,12 +192,7 @@ class ExplicitRelationOracle(PairsSetwise):
         self._successors: dict[Any, dict[int, list[int]]] = {}
         self._pair_columns = {}
         for name, pairs in relations.items():
-            frozen = frozenset(tuple(pair) for pair in pairs)
-            self._pairs[name] = frozen
-            by_source: dict[int, list[int]] = {}
-            for source, target in sorted(frozen):
-                by_source.setdefault(source, []).append(target)
-            self._successors[name] = by_source
+            self.add(name, pairs)
 
     def pairs(self, query: Any) -> frozenset[tuple[int, int]]:
         """Return the stored relation for ``query``."""

@@ -8,11 +8,11 @@ Modules:
 
 * :mod:`~repro.pplbin.ast` — the Fig. 3 abstract syntax.
 * :mod:`~repro.pplbin.parser` — concrete syntax parser.
-* :mod:`~repro.pplbin.matrix` — dense Boolean matrix algebra over node pairs
-  (the legacy/ablation products).
-* :mod:`~repro.pplbin.bitmatrix` — the packed-bitset / sparse / adaptive
-  relation kernel behind the evaluator.
+* :mod:`~repro.pplbin.bitmatrix` — the dense / packed-bitset / sparse /
+  adaptive relation kernel behind the evaluator.
 * :mod:`~repro.pplbin.evaluator` — the O(|P| |t|^3) evaluator of Theorem 2.
+* :mod:`~repro.pplbin.setwise` — set-at-a-time pre-images, images and edges
+  of a binary query, the access path of the Fig. 8 answerer.
 * :mod:`~repro.pplbin.translate` — Fig. 4: variable-free Core XPath 2.0 to
   PPLbin, and the inverse embedding used as a correctness oracle.
 * :mod:`~repro.pplbin.corexpath1` — the linear-time set-based evaluator for
@@ -41,13 +41,7 @@ from repro.pplbin.bitmatrix import (
     get_kernel,
     set_default_kernel,
 )
-from repro.pplbin.evaluator import (
-    PPLbinEvaluator,
-    evaluate_matrix,
-    evaluate_pairs,
-    evaluate_relation,
-    evaluate_successors,
-)
+from repro.pplbin.evaluator import evaluate_matrix, evaluate_pairs, evaluate_relation
 from repro.pplbin.translate import from_core_xpath, to_core_xpath
 
 __all__ = [
@@ -57,7 +51,6 @@ __all__ = [
     "get_kernel",
     "set_default_kernel",
     "evaluate_relation",
-    "evaluate_successors",
     "BinExpr",
     "BStep",
     "SelfStep",
@@ -72,7 +65,6 @@ __all__ = [
     "parse_pplbin",
     "evaluate_matrix",
     "evaluate_pairs",
-    "PPLbinEvaluator",
     "from_core_xpath",
     "to_core_xpath",
 ]

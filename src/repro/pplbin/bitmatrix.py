@@ -29,14 +29,9 @@ builders, the HCL oracle and the serving stack all work against
 the ``REPRO_KERNEL`` environment variable, which worker processes inherit)
 switches the whole stack.
 
-Demand-driven access: :func:`union_rows` computes single-row products without
-materialising any full matrix, which is what lets
-``PPLbinEvaluator.successors`` answer Proposition 10 row queries on cold
-expressions (see :mod:`repro.pplbin.evaluator`).
-
 Module-level counters (:func:`counters` / :func:`reset_counters`) record how
-many full products and row unions ran — benches and the no-materialisation
-regression tests instrument the kernel through them.
+many full products ran and how many relations were built — benches and the
+no-materialisation regression tests instrument the kernel through them.
 """
 
 from __future__ import annotations
@@ -67,7 +62,6 @@ __all__ = [
     "set_default_kernel",
     "relation_from_matrix",
     "relation_from_rows",
-    "union_rows",
     "counters",
     "reset_counters",
     "COST_PROFILE_ENV",
@@ -107,11 +101,13 @@ def _count(name: str, amount: int = 1) -> None:
 def counters() -> dict:
     """A snapshot of the kernel instrumentation counters.
 
-    ``full_compose`` counts full matrix products, ``row_union`` counts
-    demand-driven single-row products, ``relations_built`` counts relation
-    materialisations from axis/row data, ``set_steps`` counts the O(|t|)
-    set-at-a-time axis steps of :mod:`repro.pplbin.setwise`.  Tests assert
-    on these to prove the demand-driven paths never touch a full product.
+    ``full_compose`` counts full matrix products, ``relations_built`` counts
+    relation materialisations from axis pairs or dense matrices,
+    ``set_steps`` counts the O(|t|) set-at-a-time axis steps of
+    :mod:`repro.pplbin.setwise`.  ``row_union`` is kept for the readers of
+    the cost block and always reads 0: nothing computes single-row
+    products any more.  Tests assert on these to prove the set-at-a-time
+    path never touches a full product.
     """
     with _counter_lock:
         return dict(_counters)
@@ -648,11 +644,13 @@ class Kernel:
         return _convert(relation, target)
 
     # Constructors ---------------------------------------------------------
-    def from_rows(self, size: int, rows: Iterable[Iterable[int]]) -> Relation:
-        """Build a relation directly from successor lists (packed/sparse/dense
-        without a dense intermediate for the non-dense representations)."""
+    def from_pairs(self, size: int, sources: np.ndarray, targets: np.ndarray) -> Relation:
+        """Build a relation from parallel ``(source, target)`` arrays (any
+        order, no duplicates), without a dense intermediate for the
+        non-dense representations."""
         _count("relations_built")
-        sparse = relation_from_rows(size, rows)
+        order = np.lexsort((targets, sources))
+        sparse = SparseRelation.from_flat(size, sources[order], targets[order])
         return _convert(sparse, self._storage(size, sparse.nnz()))
 
     def from_matrix(self, matrix: np.ndarray) -> Relation:
@@ -881,31 +879,6 @@ def _compose_sparse(left: Relation, right: Relation) -> SparseRelation:
         else:
             rows.append(np.unique(np.concatenate(parts)))
     return SparseRelation.from_row_arrays(size, rows)
-
-
-def union_rows(relation: Relation, sources: np.ndarray) -> np.ndarray:
-    """The demand-driven single-row product: ``OR`` of the rows in ``sources``.
-
-    Returns the sorted successor ids reachable from any node in ``sources``
-    without materialising anything of size n^2.
-    """
-    _count("row_union")
-    if sources.size == 0:
-        return _EMPTY_ROW
-    if isinstance(relation, SparseRelation):
-        parts = [relation.row_indices(k) for k in sources.tolist()]
-        parts = [part for part in parts if part.size]
-        if not parts:
-            return _EMPTY_ROW
-        if len(parts) == 1:
-            return parts[0]
-        return np.unique(np.concatenate(parts))
-    if isinstance(relation, BitsetRelation):
-        combined = np.bitwise_or.reduce(relation.words[sources], axis=0)
-        row = unpack_rows(combined.reshape(1, -1), relation.size)[0]
-        return np.flatnonzero(row).astype(np.int64)
-    dense = relation.to_dense()
-    return np.flatnonzero(dense[sources].any(axis=0)).astype(np.int64)
 
 
 def _convert(relation: Relation, target: str) -> Relation:

@@ -16,29 +16,25 @@ sub-expression — and relations for sub-expressions are cached per tree (in
 the byte-budgeted matrix cache) so a query containing the same
 sub-expression several times pays for it only once.
 
-Two access paths are provided:
-
-* :func:`evaluate_relation` / :func:`evaluate_matrix` — the full ``|t| x
-  |t|`` relation of Theorem 2.
-* :func:`evaluate_successors` — the *demand-driven row* evaluation used by
-  Proposition 10's oracle: the successor set ``S_{u,P}`` of one node is
-  computed by structural recursion on rows (single-row products via
-  :func:`repro.pplbin.bitmatrix.union_rows`), touching only the rows the
-  recursion reaches and never materialising a full matrix.
+This is the full ``|t| x |t|`` relation of Theorem 2.  The Fig. 8 answerer
+does not read it node by node: it asks set-at-a-time questions
+(:mod:`repro.pplbin.setwise`) and falls back to :func:`evaluate_relation`
+only for ``except`` sub-expressions; per-node rows
+(:class:`repro.hcl.binding.PPLbinOracle` ``successors``) are read off the
+cached relation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from repro.errors import EvaluationError
 from repro.obs import trace as _trace
-from repro.trees.axes import axis_relation, iter_axis, label_vector
+from repro.trees.axes import axis_relation, label_vector
 from repro.trees.tree import Tree
 from repro.pplbin import bitmatrix as bx
-from repro.pplbin import matrix as bm
 from repro.pplbin.ast import (
     BCompose,
     BExcept,
@@ -49,53 +45,6 @@ from repro.pplbin.ast import (
     SelfStep,
 )
 from repro.pplbin.parser import parse_pplbin
-
-MatmulFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-#: After this many demand-driven row queries on one expression the evaluator
-#: materialises the full relation: answering for a large fraction of the
-#: nodes row-by-row costs more than one vectorised evaluation (this is the
-#: amortisation Proposition 10's precompilation assumes).
-ROW_MATERIALIZE_THRESHOLD = 16
-
-#: Row probes before :meth:`PPLbinEvaluator.nonempty` falls back to the full
-#: relation (an empty query would otherwise probe every node the slow way).
-_NONEMPTY_PROBES = 32
-
-
-class MatmulKernel(bx.DenseKernel):
-    """A dense kernel whose composition is a caller-supplied matmul function.
-
-    Wraps the legacy ``matmul=`` argument of :func:`evaluate_matrix` (the E9
-    ablation's pure-Python and successor-set products).  The cache token is
-    the function object itself, so two different custom products can never
-    share cache entries — the seed keyed the cache on ``matmul is
-    bool_matmul``, which collapsed *all* non-default products onto one key.
-    """
-
-    def __init__(self, matmul: MatmulFn) -> None:
-        self.matmul = matmul
-        self.name = f"matmul:{getattr(matmul, '__name__', repr(matmul))}"
-
-    @property
-    def cache_token(self):
-        return self.matmul
-
-    def compose(self, left: bx.Relation, right: bx.Relation) -> bx.Relation:
-        bx._count("full_compose")
-        product = self.matmul(left.to_dense(), right.to_dense())
-        return bx.DenseRelation(left.size, np.asarray(product, dtype=bool))
-
-
-def _resolve_kernel(
-    matmul: Optional[MatmulFn], kernel: Union[str, bx.Kernel, None]
-) -> bx.Kernel:
-    """Map the legacy ``matmul`` argument and the ``kernel`` knob to a kernel."""
-    if kernel is not None:
-        return bx.get_kernel(kernel)
-    if matmul is not None and matmul is not bm.bool_matmul:
-        return MatmulKernel(matmul)
-    return bx.get_default_kernel()
 
 
 def evaluate_relation(
@@ -140,21 +89,15 @@ def evaluate_relation(
 def evaluate_matrix(
     tree: Tree,
     expression: BinExpr | str,
-    matmul: MatmulFn = bm.bool_matmul,
-    use_cache: bool = True,
     kernel: Union[str, bx.Kernel, None] = None,
+    use_cache: bool = True,
 ) -> np.ndarray:
     """Return the Boolean matrix ``M^t_P`` of a PPLbin expression.
 
-    The dense entry point kept for compatibility (and the ablations): the
-    evaluation itself runs on :func:`evaluate_relation` with the kernel
-    implied by the arguments — ``kernel`` when given, a
-    :class:`MatmulKernel` when a non-default ``matmul`` is passed, the
-    process default otherwise.  The returned matrix is read-only and cached,
-    so repeated calls return the same array object.
+    The dense view of :func:`evaluate_relation`.  The returned matrix is
+    read-only and cached, so repeated calls return the same array object.
     """
-    resolved = _resolve_kernel(matmul, kernel)
-    return evaluate_relation(tree, expression, kernel=resolved, use_cache=use_cache).to_dense()
+    return evaluate_relation(tree, expression, kernel=kernel, use_cache=use_cache).to_dense()
 
 
 def _evaluate(
@@ -205,181 +148,7 @@ def _evaluate(
     raise EvaluationError(f"unknown PPLbin expression {node!r}")
 
 
-# ------------------------------------------------------- demand-driven rows
-def evaluate_successors(
-    tree: Tree,
-    expression: BinExpr | str,
-    node: int,
-    kernel: Union[str, bx.Kernel, None] = None,
-    use_cache: bool = True,
-) -> np.ndarray:
-    """Return the sorted successor ids of ``node`` under ``expression``.
-
-    Structural recursion on *rows*: a step reads the axis successors of one
-    node straight off the tree, a composition unions the right operand's
-    rows over the left row's targets, ``except`` complements within the node
-    universe, ``[P]`` probes one row for emptiness.  No full ``|t| x |t|``
-    relation is ever materialised (cached full relations are reused when a
-    previous full evaluation left them behind); computed rows are memoised
-    in the tree's byte-budgeted matrix cache.
-    """
-    parsed = parse_pplbin(expression) if isinstance(expression, str) else expression
-    resolved = bx.get_kernel(kernel)
-    cache = tree.matrix_cache() if use_cache else {}
-    # Speculative full-relation probes are expected to miss on the demand-
-    # driven path; keep them out of the hit/miss telemetry.
-    peek = getattr(cache, "peek", cache.get)
-    token = resolved.cache_token
-    universe = np.arange(tree.size, dtype=np.int64)
-
-    def row(expr: BinExpr, source: int) -> np.ndarray:
-        full = peek(("pplbin-rel", expr, token))
-        if full is not None:
-            return full.row_indices(source)
-        key = ("pplbin-row", expr, token, source)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        result = _evaluate_row(expr, source)
-        cache[key] = result
-        return result
-
-    def _evaluate_row(expr: BinExpr, source: int) -> np.ndarray:
-        if isinstance(expr, BStep):
-            if expr.nametest is None:
-                targets = list(iter_axis(tree, expr.axis, source))
-            else:
-                labels = tree.labels
-                targets = [
-                    target
-                    for target in iter_axis(tree, expr.axis, source)
-                    if labels[target] == expr.nametest
-                ]
-            if not targets:
-                return bx._EMPTY_ROW
-            return np.array(sorted(targets), dtype=np.int64)
-        if isinstance(expr, SelfStep):
-            return universe[source : source + 1]
-        if isinstance(expr, BCompose):
-            sources = row(expr.left, source)
-            full = peek(("pplbin-rel", expr.right, token))
-            if full is not None:
-                return bx.union_rows(full, sources)
-            parts = [row(expr.right, mid) for mid in sources.tolist()]
-            parts = [part for part in parts if part.size]
-            if not parts:
-                return bx._EMPTY_ROW
-            if len(parts) == 1:
-                return parts[0]
-            return np.unique(np.concatenate(parts))
-        if isinstance(expr, BUnion):
-            return np.union1d(row(expr.left, source), row(expr.right, source))
-        if isinstance(expr, BExcept):
-            return np.setdiff1d(universe, row(expr.operand, source), assume_unique=True)
-        if isinstance(expr, BFilter):
-            if row(expr.operand, source).size:
-                return universe[source : source + 1]
-            return bx._EMPTY_ROW
-        raise EvaluationError(f"unknown PPLbin expression {expr!r}")
-
-    return row(parsed, node)
-
-
 def evaluate_pairs(tree: Tree, expression: BinExpr | str) -> frozenset[tuple[int, int]]:
     """Return the binary query ``q^bin_P(t)`` as an explicit set of node pairs."""
     return evaluate_relation(tree, expression).pairs()
 
-
-def successors(tree: Tree, expression: BinExpr | str, node: int) -> list[int]:
-    """Return the successors of ``node`` under the binary query of ``expression``.
-
-    This is the per-node access path used by the HCL answering algorithm
-    (the data structure of Proposition 10 that returns ``S_{u,b}`` in time
-    proportional to its size); computed demand-driven, without materialising
-    the full matrix.
-    """
-    return evaluate_successors(tree, expression, node).tolist()
-
-
-class PPLbinEvaluator:
-    """Evaluator facade bound to one tree, with per-expression memoisation.
-
-    This class is also the ``L`` oracle handed to the hybrid composition
-    language: it exposes exactly the two operations Proposition 10 requires —
-    full evaluation of a leaf expression (``matrix``/``relation``/``pairs``)
-    and constant-time-per-successor access (``successors``).  Row queries
-    start demand-driven; once an expression has been probed more than
-    :data:`ROW_MATERIALIZE_THRESHOLD` times the full relation is
-    materialised and subsequent rows are served from it (the precompilation
-    trade-off of Proposition 10).
-    """
-
-    name = "pplbin-matrix"
-
-    def __init__(
-        self,
-        tree: Tree,
-        matmul: Optional[MatmulFn] = None,
-        kernel: Union[str, bx.Kernel, None] = None,
-    ) -> None:
-        self.tree = tree
-        self.kernel = _resolve_kernel(matmul, kernel)
-        self._row_queries: dict[BinExpr, int] = {}
-
-    def _parse(self, expression: BinExpr | str) -> BinExpr:
-        return parse_pplbin(expression) if isinstance(expression, str) else expression
-
-    def relation(self, expression: BinExpr | str) -> bx.Relation:
-        """Return (and cache) the relation of ``expression`` on the bound tree."""
-        return evaluate_relation(self.tree, expression, kernel=self.kernel)
-
-    def matrix(self, expression: BinExpr | str) -> np.ndarray:
-        """Return the Boolean matrix of ``expression`` on the bound tree."""
-        return self.relation(expression).to_dense()
-
-    def pairs(self, expression: BinExpr | str) -> frozenset[tuple[int, int]]:
-        """Return the explicit pair set of ``expression`` on the bound tree."""
-        return self.relation(expression).pairs()
-
-    def _cached_relation(self, parsed: BinExpr) -> Optional[bx.Relation]:
-        # A speculative probe (absence is the normal demand-driven case):
-        # keep it out of the cache's hit/miss telemetry.
-        return self.tree.matrix_cache().peek(
-            ("pplbin-rel", parsed, self.kernel.cache_token)
-        )
-
-    def _row(self, parsed: BinExpr, node: int) -> np.ndarray:
-        relation = self._cached_relation(parsed)
-        if relation is not None:
-            return relation.row_indices(node)
-        queries = self._row_queries.get(parsed, 0) + 1
-        self._row_queries[parsed] = queries
-        if queries > ROW_MATERIALIZE_THRESHOLD:
-            return self.relation(parsed).row_indices(node)
-        return evaluate_successors(self.tree, parsed, node, kernel=self.kernel)
-
-    def successors(self, expression: BinExpr | str, node: int) -> list[int]:
-        """Return all ``v`` with ``(node, v)`` in the query of ``expression``."""
-        return self._row(self._parse(expression), node).tolist()
-
-    def has_successor(self, expression: BinExpr | str, node: int) -> bool:
-        """Return True when ``node`` has at least one successor."""
-        return bool(self._row(self._parse(expression), node).size)
-
-    def nonempty(self, expression: BinExpr | str) -> bool:
-        """Return True when the binary query is non-empty on the bound tree.
-
-        Probes rows demand-driven with early exit; an expression that looks
-        empty after :data:`_NONEMPTY_PROBES` probes is settled with one full
-        evaluation instead of probing every node the slow way.
-        """
-        parsed = self._parse(expression)
-        relation = self._cached_relation(parsed)
-        if relation is not None:
-            return relation.any()
-        for node in range(min(self.tree.size, _NONEMPTY_PROBES)):
-            if evaluate_successors(self.tree, parsed, node, kernel=self.kernel).size:
-                return True
-        if self.tree.size <= _NONEMPTY_PROBES:
-            return False
-        return self.relation(parsed).any()

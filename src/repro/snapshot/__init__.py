@@ -1,10 +1,9 @@
 """repro.snapshot — the on-disk, content-addressed columnar snapshot store.
 
 Compiling a document is the expensive half of every cold corpus start:
-parse the XML, number the tree, build the hot axis relations.  This package
-persists that work as *snapshots* — versioned files holding the tree's
-struct arrays plus a label dictionary and the packed-bitset axis relations,
-laid out so :func:`numpy.memmap` loads them in O(1) without parsing
+parse the XML and number the tree.  This package persists that work as
+*snapshots* — versioned files holding the tree's struct arrays plus a label
+dictionary, laid out so :func:`numpy.memmap` loads them in O(1) without parsing
 (:mod:`repro.snapshot.codec`) — and *spills answer sets* addressed by
 ``(document digest, plan key, engine)``, so a warm start skips the first
 evaluation too (:mod:`repro.snapshot.store`).
@@ -17,7 +16,6 @@ The store plugs into the stack through ``DocumentStore(snapshot_dir=...)``
 """
 
 from repro.snapshot.codec import (
-    DEFAULT_SNAPSHOT_AXES,
     FORMAT_VERSION,
     MAGIC,
     SnapshotError,
@@ -34,7 +32,6 @@ from repro.snapshot.store import (
 
 __all__ = [
     "ANSWER_SUFFIX",
-    "DEFAULT_SNAPSHOT_AXES",
     "FORMAT_VERSION",
     "MAGIC",
     "SnapshotError",

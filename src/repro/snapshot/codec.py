@@ -2,17 +2,17 @@
 
 A snapshot is the compiled form of one document: the preorder-indexed
 struct-of-arrays representation of its :class:`repro.trees.tree.Tree`
-(label ids, parent, depth, post, subtree extents) plus a label dictionary,
-with the hot packed-bitset axis relations serialised alongside (a packed
-relation is ``n²/8`` bytes — ~32 KiB at 512 nodes).  The layout is designed
+(label ids, parent, depth, post, subtree extents) plus a label dictionary.
+No axis relation is stored: the Fig. 8 answerer reads axes set-at-a-time
+off the tree's arrays, and a relation the Theorem 2 evaluator needs is
+rebuilt from them in O(|t| log |t|) plus its size.  The layout is designed
 for O(1) loads: a fixed prefix, one JSON header describing every array
 (dtype, offset, shape), then a 64-byte-aligned little-endian body that
 :func:`numpy.memmap` maps without parsing or copying.  Reconstructing the
 :class:`Tree` wrapper is a single O(n) pass over the mapped columns
-(:meth:`repro.trees.tree.Tree.from_columns`); the mapped relation words are
-adopted verbatim as :class:`repro.pplbin.bitmatrix.BitsetRelation` rows.
+(:meth:`repro.trees.tree.Tree.from_columns`).
 
-On-disk layout (format version 1)::
+On-disk layout (format version 2)::
 
     bytes 0..5    magic  b"RXSNAP"
     bytes 6..7    format version  (uint16, little endian)
@@ -44,26 +44,15 @@ import numpy as np
 
 from repro._config import UNSET as _UNSET
 from repro.errors import ReproError
-from repro.trees.axes import Axis, axis_relation
 from repro.trees.tree import Tree
 
 #: Bump when the layout (prefix, header schema or column set) changes
 #: incompatibly; old files then fail validation and are rebuilt.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 MAGIC = b"RXSNAP"
 _PREFIX = struct.Struct("<6sHI")
 _ALIGN = 64
-
-#: The axis relations serialised into every snapshot: the paper's vertical
-#: navigation core, which every PPLbin plan touches first.  Sibling and
-#: derived axes stay demand-built — they are cheap closures over these.
-DEFAULT_SNAPSHOT_AXES: tuple[Axis, ...] = (
-    Axis.CHILD,
-    Axis.PARENT,
-    Axis.DESCENDANT,
-    Axis.ANCESTOR,
-)
 
 _COLUMN_DTYPES = {
     "label_ids": "<u4",
@@ -83,12 +72,7 @@ def _align(offset: int) -> int:
 
 
 # ----------------------------------------------------------------- encoding
-def encode_snapshot(
-    tree: Tree,
-    digest: str,
-    *,
-    relation_axes: tuple[Axis, ...] = DEFAULT_SNAPSHOT_AXES,
-) -> bytes:
+def encode_snapshot(tree: Tree, digest: str) -> bytes:
     """Serialise ``tree`` into the columnar snapshot format.
 
     ``digest`` is the content address of the *source* the tree was parsed
@@ -116,32 +100,19 @@ def encode_snapshot(
         "post": np.asarray(tree.post, dtype=np.int64),
         "subtree_end": np.asarray(tree.subtree_end, dtype=np.int64),
     }
-    relations = {
-        axis.value: np.ascontiguousarray(
-            axis_relation(tree, axis, "bitset").to_bitset().words
-        )
-        for axis in relation_axes
-    }
-
     # Lay the body out: every array at a 64-byte-aligned offset (relative
     # to the body start, which is itself aligned), so memmap views land on
-    # cache-line boundaries.  Columns and relations live in separate header
-    # maps — "parent" names both a column and an axis.
+    # cache-line boundaries.
     column_meta: dict[str, dict] = {}
-    relation_meta: dict[str, dict] = {}
     body_parts: list[tuple[int, np.ndarray]] = []
     cursor = 0
-    for meta, table, dtype_of in (
-        (column_meta, columns, lambda name: _COLUMN_DTYPES[name]),
-        (relation_meta, relations, lambda name: "<u8"),
-    ):
-        for name, array in table.items():
-            cursor = _align(cursor)
-            dtype = dtype_of(name)
-            meta[name] = {"dtype": dtype, "offset": cursor, "shape": list(array.shape)}
-            part = np.ascontiguousarray(array.astype(dtype, copy=False))
-            body_parts.append((cursor, part))
-            cursor += part.nbytes
+    for name, array in columns.items():
+        cursor = _align(cursor)
+        dtype = _COLUMN_DTYPES[name]
+        column_meta[name] = {"dtype": dtype, "offset": cursor, "shape": list(array.shape)}
+        part = np.ascontiguousarray(array.astype(dtype, copy=False))
+        body_parts.append((cursor, part))
+        cursor += part.nbytes
 
     header = {
         "format": FORMAT_VERSION,
@@ -150,7 +121,6 @@ def encode_snapshot(
         "byteorder": "little",
         "labels": label_table,
         "columns": column_meta,
-        "relations": relation_meta,
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     body_start = _align(_PREFIX.size + len(header_bytes))
@@ -228,10 +198,8 @@ def decode_snapshot(
 ) -> Tree:
     """Load a snapshot into a :class:`Tree` by memory-mapping its body.
 
-    The packed axis relations in the file are seeded into the tree's matrix
-    cache under the bitset kernel's token, so the Theorem 2 evaluator finds
-    them without rebuilding.  ``expected_digest`` (when given) must match
-    the digest recorded inside the file — the stale-source guard.
+    ``expected_digest`` (when given) must match the digest recorded inside
+    the file — the stale-source guard.
 
     Raises
     ------
@@ -250,13 +218,11 @@ def decode_snapshot(
     size = header.get("size")
     labels_table = header.get("labels")
     column_meta = header.get("columns")
-    relation_meta = header.get("relations")
     if (
         not isinstance(size, int)
         or size < 1
         or not isinstance(labels_table, list)
         or not isinstance(column_meta, dict)
-        or not isinstance(relation_meta, dict)
     ):
         raise SnapshotError(f"snapshot {path.name}: malformed header fields")
     try:
@@ -303,7 +269,7 @@ def decode_snapshot(
     labels = [labels_table[index] for index in label_ids.tolist()]
     parent_list: list = parent.tolist()
     parent_list[0] = None
-    tree = Tree.from_columns(
+    return Tree.from_columns(
         labels=labels,
         parent=parent_list,
         depth=columns["depth"].tolist(),
@@ -311,23 +277,3 @@ def decode_snapshot(
         subtree_end=columns["subtree_end"].tolist(),
         matrix_cache_bytes=matrix_cache_bytes,
     )
-
-    # Seed the packed relations straight off the mapping — no copy, no
-    # rebuild; the OS pages them in on first touch.
-    from repro.pplbin.bitmatrix import BitsetRelation, get_kernel
-
-    token = get_kernel("bitset").cache_token
-    words_per_row = (size + 63) // 64
-    cache = tree.matrix_cache()
-    for name, descriptor in relation_meta.items():
-        if not isinstance(descriptor, dict):
-            raise SnapshotError(f"snapshot {path.name}: malformed relation {name!r}")
-        try:
-            axis = Axis(name)
-        except ValueError as exc:
-            raise SnapshotError(f"snapshot {path.name}: unknown relation axis {name!r}") from exc
-        words = _mapped_array(mapped, body_start, total, descriptor, name)
-        if words.shape != (size, words_per_row):
-            raise SnapshotError(f"snapshot {path.name}: relation {name} has wrong shape")
-        cache[("axis-rel", axis, token)] = BitsetRelation(size, words)
-    return tree

@@ -7,16 +7,18 @@ We additionally provide the standard derived axes (``descendant-or-self``,
 ``firstchild``, ``nextsibling`` and ``previoussibling`` used by the binary
 encoding and by the FO signature of Section 2 (``ch`` and ``ns``).
 
-Four access paths are offered, each backing one of the evaluators:
+Three access paths are offered:
 
-* :func:`iter_axis` — lazily iterate the nodes reachable from one node.
-* :func:`axis_pairs` — the full binary relation as a set of pairs.
-* :func:`axis_matrix` — the relation as a ``|t| x |t|`` Boolean numpy matrix
-  (used by the PPLbin matrix evaluator of Theorem 2).  Matrices are cached on
-  the tree.
+* :func:`iter_axis` — lazily iterate the nodes reachable from one node (the
+  naive XPath semantics), and :func:`axis_pairs`, the full binary relation
+  as a set of pairs built from it (the reference the tests check against).
 * :func:`axis_preimage` / :func:`axis_image` / :func:`axis_edges` — whole
   node sets at a time, in O(|t|) vector work over the tree's arrays (used by
   the Fig. 8 answerer through :mod:`repro.pplbin.setwise`).
+* :func:`axis_relation` / :func:`axis_matrix` — the relation in a kernel
+  representation or as a ``|t| x |t|`` Boolean numpy matrix (used by the
+  PPLbin matrix evaluator of Theorem 2), built from :func:`axis_edges` and
+  cached on the tree.
 """
 
 from __future__ import annotations
@@ -195,10 +197,10 @@ def axis_pairs(tree: Tree, axis: Axis) -> frozenset[tuple[int, int]]:
 def axis_relation(tree: Tree, axis: Axis, kernel=None):
     """Return the axis relation as a :class:`repro.pplbin.bitmatrix.Relation`.
 
-    The relation is built *directly* in the kernel's representation from the
-    per-node successor lists — packed word rows for the bitset kernel,
-    successor arrays for the sparse one — without a dense intermediate, and
-    cached on the tree per ``(axis, kernel)``.
+    The relation is built from :func:`axis_edges` over all nodes, directly
+    in the kernel's representation — packed word rows for the bitset
+    kernel, successor arrays for the sparse one — without a dense
+    intermediate, and cached on the tree per ``(axis, kernel)``.
 
     ``kernel`` is a kernel name, instance or ``None`` (the process default);
     see :mod:`repro.pplbin.bitmatrix`.
@@ -212,9 +214,9 @@ def axis_relation(tree: Tree, axis: Axis, kernel=None):
     if cached is not None:
         return cached
     with _trace.span("axis.relation", axis=axis.value, kernel=resolved.name):
-        relation = resolved.from_rows(
-            tree.size, (list(iter_axis(tree, axis, node)) for node in tree.nodes())
-        )
+        everything = np.ones(tree.size, dtype=bool)
+        sources, targets = axis_edges(tree, axis, everything, everything)
+        relation = resolved.from_pairs(tree.size, sources, targets)
     cache[key] = relation
     return relation
 
@@ -479,13 +481,3 @@ def axis_edges(
         return range_pairs(starts, np.zeros(starts.size, dtype=np.int64), high, ends[order])
     raise TreeError(f"unsupported axis {axis!r}")  # pragma: no cover - exhaustive enum
 
-
-def successors(tree: Tree, axis: Axis, node: int, label: str | None = None) -> list[int]:
-    """Return the ``axis::label`` successors of ``node`` as a list.
-
-    This is the ``S_a(N)`` primitive of Core XPath 1.0 evaluation restricted
-    to a single source node, with an optional name test applied to targets.
-    """
-    if label is None:
-        return list(iter_axis(tree, axis, node))
-    return [target for target in iter_axis(tree, axis, node) if tree.labels[target] == label]

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Optional
 from repro.errors import TreeError
 
 #: Default byte budget of one tree's matrix cache (axis relations, PPLbin
-#: sub-expression relations and demand-driven rows).  Override per tree via
+#: sub-expression relations, label vectors and tree arrays).  Override per tree via
 #: the ``matrix_cache_bytes`` constructor argument or process-wide with the
 #: ``REPRO_MATRIX_CACHE_BYTES`` environment variable (empty string or ``0``
 #: = unbounded, matching the seed's behaviour).
@@ -94,11 +94,11 @@ class MatrixCacheStats:
 
 
 class MatrixCache:
-    """A byte-budgeted LRU cache for per-tree matrices, relations and rows.
+    """A byte-budgeted LRU cache for per-tree matrices, relations and vectors.
 
     Replaces the seed's unbounded plain dict (``tree.py``'s old
-    ``matrix_cache``): every axis matrix, PPLbin sub-expression relation and
-    demand-driven row lands here, accounted by its estimated footprint and
+    ``matrix_cache``): every axis relation, PPLbin sub-expression relation,
+    label vector and tree-array bundle lands here, accounted by its estimated footprint and
     evicted least-recently-used when the budget is exceeded.  Evicted
     entries are recomputable, so eviction only costs time.  The dict-style
     interface (``get`` / ``[] =`` / ``in``) is what the evaluators use; an
@@ -126,18 +126,6 @@ class MatrixCache:
             self._entries.move_to_end(key)
             self._hits += 1
             return entry[0]
-
-    def peek(self, key, default=None):
-        """Look up without touching the hit/miss counters or LRU order.
-
-        For *speculative* probes — "is the full relation already there,
-        before I take the row path?" — where an absence is the expected
-        case, not a cache failure, and counting it would skew the hit-rate
-        telemetry surfaced in ``QueryReport``/``ServerStats``.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            return default if entry is None else entry[0]
 
     def __contains__(self, key) -> bool:
         with self._lock:

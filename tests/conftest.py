@@ -7,7 +7,14 @@ within what brute-force enumeration can handle.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The E2/E9 baseline products (``matmul_baselines``) live in benchmarks/;
+# the tests that keep them honest import them from there.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
 from repro.trees.tree import Node, Tree
 from repro.workloads.bibliography import generate_bibliography

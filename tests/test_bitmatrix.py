@@ -3,10 +3,11 @@
 Covers the :mod:`repro.pplbin.bitmatrix` representations and kernels, the
 kernel-equivalence guarantee (dense / bitset / sparse / adaptive produce
 identical relations on randomized trees and generated expressions, checked
-against the Fig. 2 semantics oracle), the demand-driven successor path (no
-full-matrix materialisation on cold expressions), the evaluator cache-key
-regression, the byte-budgeted per-tree matrix cache and its telemetry, and
-the uint8 matmul overflow regression.
+against the Fig. 2 semantics oracle), axis relations against the
+``iter_axis`` reference, the oracle's per-node rows, the evaluator
+cache-key regression, the byte-budgeted per-tree matrix cache and its
+telemetry, and the baseline products of ``benchmarks/matmul_baselines.py``
+(the uint8 matmul overflow regression among them).
 """
 
 from __future__ import annotations
@@ -19,23 +20,19 @@ import pytest
 from repro.api import Document
 from repro.corpus.cache import AnswerCache, estimate_entry_bytes
 from repro.corpus.store import DocumentStore
-from repro.trees.axes import AXES, axis_matrix, axis_relation
-from repro.trees.generators import chain_tree, random_tree
+from repro.hcl.binding import PPLbinOracle
+from repro.trees.axes import AXES, axis_matrix, axis_pairs, axis_relation
+from repro.trees.generators import chain_tree, random_shallow_tree, random_tree
 from repro.trees.tree import MatrixCache, Node, Tree
 from repro.pplbin import bitmatrix as bx
-from repro.pplbin import matrix as bm
 from repro.pplbin.ast import BCompose, BExcept, BFilter, BinExpr, BStep, BUnion, SelfStep
 from repro.pplbin.corexpath1 import binary_relation
-from repro.pplbin.evaluator import (
-    ROW_MATERIALIZE_THRESHOLD,
-    PPLbinEvaluator,
-    evaluate_matrix,
-    evaluate_relation,
-    evaluate_successors,
-)
+from repro.pplbin.evaluator import evaluate_matrix, evaluate_relation
 from repro.pplbin.parser import parse_pplbin
 from repro.pplbin.translate import to_core_xpath
 from repro.xpath.semantics import evaluate_path
+
+import matmul_baselines as bm  # benchmarks/, put on the path by conftest.py
 
 KERNELS = list(bx.KERNEL_NAMES)
 
@@ -89,20 +86,6 @@ def test_kernel_algebra_matches_dense_reference(kernel_name, size):
     assert np.array_equal(kernel.identity(size).to_dense(), np.eye(size, dtype=bool))
 
 
-def test_union_rows_is_single_row_product():
-    rng = np.random.default_rng(3)
-    dense = rng.random((90, 90)) < 0.2
-    sources = np.flatnonzero(rng.random(90) < 0.3).astype(np.int64)
-    expected = np.flatnonzero(dense[sources].any(axis=0))
-    for relation in (
-        bx.relation_from_matrix(dense),
-        bx.relation_from_matrix(dense).to_bitset(),
-        bx.relation_from_matrix(dense).to_sparse(),
-    ):
-        assert np.array_equal(bx.union_rows(relation, sources), expected)
-        assert bx.union_rows(relation, np.empty(0, dtype=np.int64)).size == 0
-
-
 def test_cost_model_regimes():
     # Tiny relations stay dense; large sparse ones go sparse; large mid-density
     # ones pack into words.
@@ -124,7 +107,7 @@ def test_kernel_registry_and_default():
         bx.get_kernel("nope")
 
 
-# ------------------------------------------------- legacy dense product fixes
+# ---------------------------------------------- baseline products (benchmarks/)
 def test_bool_matmul_no_uint8_overflow():
     # Regression: the seed's uint8-cast product wrapped counts at 256 — an
     # all-ones 256x256 product came back all-False.
@@ -226,30 +209,53 @@ def test_corexpath1_produces_relation_values():
     assert relation.pairs() == evaluate_relation(tree, text).pairs()
 
 
+def _caterpillar(length: int) -> Tree:
+    """A spine ``length`` deep whose nodes each carry a leaf on both sides."""
+    node = Node("a")
+    for index in range(length):
+        node = Node("b" if index % 2 else "a", Node("c"), node, Node("d"))
+    return Tree(node)
+
+
+#: Random, deep and wide trees, large enough that following/preceding and
+#: the sibling axes reach their interval cases.
+_AXIS_TREES = {
+    "random": lambda: random_tree(600, seed=9),
+    "deep": lambda: _caterpillar(100),
+    "wide": lambda: random_shallow_tree(1000, 2, seed=3),
+}
+
+
+@pytest.fixture(scope="module")
+def axis_references():
+    """Per tree kind: the tree and, per axis, its dense matrix from ``axis_pairs``."""
+    references = {}
+    for kind, build in _AXIS_TREES.items():
+        tree = build()
+        matrices = {}
+        for axis in AXES:
+            matrix = np.zeros((tree.size, tree.size), dtype=bool)
+            pairs = np.array(sorted(axis_pairs(tree, axis)), dtype=np.int64).reshape(-1, 2)
+            matrix[pairs[:, 0], pairs[:, 1]] = True
+            matrices[axis] = matrix
+        references[kind] = (tree, matrices)
+    return references
+
+
 @pytest.mark.parametrize("kernel_name", KERNELS)
-def test_axis_relations_match_axis_matrices(kernel_name):
-    tree = random_tree(30, seed=9)
-    for axis in AXES:
-        relation = axis_relation(tree, axis, kernel_name)
-        assert np.array_equal(relation.to_dense(), axis_matrix(tree, axis)), axis
+def test_axis_relations_match_axis_matrices(kernel_name, axis_references):
+    # Every kernel's axis relation, and the dense axis matrix, against the
+    # independent iter_axis reference.
+    for kind, (reference, expected) in axis_references.items():
+        tree = Tree(reference.to_node())
+        for axis in AXES:
+            relation = axis_relation(tree, axis, kernel_name)
+            assert np.array_equal(relation.to_dense(), expected[axis]), (kind, axis)
+            assert relation.nnz() == int(expected[axis].sum()), (kind, axis)
+            assert np.array_equal(axis_matrix(tree, axis), expected[axis]), (kind, axis)
 
 
-# ----------------------------------------------------- demand-driven successors
-def test_cold_successors_do_not_materialize(tiny_tree):
-    expression = parse_pplbin("child::*/descendant::b")
-    bx.reset_counters()
-    evaluator = PPLbinEvaluator(tiny_tree)
-    got = evaluator.successors(expression, 0)
-    assert evaluator.has_successor(expression, 0) == bool(got)
-    after = bx.counters()
-    assert after["full_compose"] == 0
-    assert after["relations_built"] == 0
-    # Correctness against the full evaluation (on a separate tree object so
-    # the instrumented one stays cold).
-    other = Tree(tiny_tree.to_node())
-    assert got == np.flatnonzero(evaluate_matrix(other, expression)[0]).tolist()
-
-
+# ------------------------------------------------------------- oracle rows
 @pytest.mark.parametrize(
     "text",
     [
@@ -262,33 +268,19 @@ def test_cold_successors_do_not_materialize(tiny_tree):
     ],
 )
 def test_demand_driven_rows_match_full_matrix(text):
+    # Rows asked for one node at a time (PPLbinOracle.successors /
+    # has_successor, read off the cached relation) against the Fig. 2
+    # semantics.
     tree = random_tree(35, seed=17)
-    reference = Tree(tree.to_node())
-    matrix = evaluate_matrix(reference, text)
-    for node in tree.nodes():
-        row = evaluate_successors(tree, text, node)
-        assert np.array_equal(row, np.flatnonzero(matrix[node])), (text, node)
-
-
-def test_nonempty_demand_driven(tiny_tree):
-    bx.reset_counters()
-    evaluator = PPLbinEvaluator(tiny_tree)
-    assert evaluator.nonempty("descendant::d")
-    assert bx.counters()["full_compose"] == 0
-    assert not evaluator.nonempty("child::zz-absent")
-
-
-def test_row_queries_materialize_after_threshold():
-    tree = random_tree(64, seed=23)
-    evaluator = PPLbinEvaluator(tree)
-    expression = parse_pplbin("child::a/descendant::*")
-    for node in range(ROW_MATERIALIZE_THRESHOLD + 2):
-        demand = evaluator.successors(expression, node)
-        assert demand == np.flatnonzero(evaluate_matrix(
-            Tree(tree.to_node()), expression
-        )[node]).tolist()
-    # The full relation is now cached and serves subsequent rows.
-    assert evaluator._cached_relation(expression) is not None
+    expected = np.zeros((tree.size, tree.size), dtype=bool)
+    for source, target in evaluate_path(tree, to_core_xpath(parse_pplbin(text))):
+        expected[source, target] = True
+    for kernel_name in KERNELS:
+        oracle = PPLbinOracle(Tree(tree.to_node()), kernel=kernel_name)
+        for node in tree.nodes():
+            row = oracle.successors(text, node)
+            assert row == np.flatnonzero(expected[node]).tolist(), (text, kernel_name, node)
+            assert oracle.has_successor(text, node) == bool(row)
 
 
 # ------------------------------------------------------- cache-key regression
@@ -306,13 +298,13 @@ def test_custom_matmuls_do_not_share_cache_entries(tiny_tree):
         return bm.bool_matmul(a, b)
 
     expression = parse_pplbin("child::*/child::*")
-    evaluate_matrix(tiny_tree, expression, matmul=first_matmul)
+    evaluate_matrix(tiny_tree, expression, kernel=bm.MatmulKernel(first_matmul))
     assert calls == {"first": 1, "second": 0}
-    evaluate_matrix(tiny_tree, expression, matmul=second_matmul)
+    evaluate_matrix(tiny_tree, expression, kernel=bm.MatmulKernel(second_matmul))
     assert calls == {"first": 1, "second": 1}, "second matmul must not reuse first's cache"
     # Repeats hit their own cache entries: no further product calls.
-    evaluate_matrix(tiny_tree, expression, matmul=first_matmul)
-    evaluate_matrix(tiny_tree, expression, matmul=second_matmul)
+    evaluate_matrix(tiny_tree, expression, kernel=bm.MatmulKernel(first_matmul))
+    evaluate_matrix(tiny_tree, expression, kernel=bm.MatmulKernel(second_matmul))
     assert calls == {"first": 1, "second": 1}
 
 

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import EvaluationError, ParseError, TranslationError
 from repro.trees.axes import Axis
 from repro.trees.generators import random_tree
-from repro.pplbin import matrix as bm
 from repro.pplbin.ast import (
     BCompose,
     BExcept,
@@ -27,11 +26,14 @@ from repro.pplbin.corexpath1 import (
     satisfying_nodes,
     successor_set,
 )
-from repro.pplbin.evaluator import PPLbinEvaluator, evaluate_matrix, evaluate_pairs
+from repro.hcl.binding import PPLbinOracle
+from repro.pplbin.evaluator import evaluate_matrix, evaluate_pairs
 from repro.pplbin.parser import parse_pplbin
 from repro.pplbin.translate import ROOT, from_core_xpath, to_core_xpath
 from repro.xpath.parser import parse_path
 from repro.xpath.semantics import evaluate_path
+
+import matmul_baselines as bm  # benchmarks/, put on the path by conftest.py
 
 
 # -------------------------------------------------------------------- parser
@@ -157,12 +159,13 @@ def test_matrix_evaluator_caches_per_tree(tiny_tree):
 
 
 def test_evaluator_facade(tiny_tree):
-    evaluator = PPLbinEvaluator(tiny_tree)
-    assert evaluator.successors("child::*", 2) == [3, 4]
-    assert evaluator.has_successor("child::*", 2)
-    assert not evaluator.has_successor("child::*", 1)
-    assert evaluator.nonempty("descendant::d")
-    assert evaluator.pairs("child::d") == frozenset({(2, 3)})
+    oracle = PPLbinOracle(tiny_tree)
+    assert oracle.successors("child::*", 2) == [3, 4]
+    assert oracle.has_successor("child::*", 2)
+    assert not oracle.has_successor("child::*", 1)
+    assert oracle.relation("descendant::d").any()
+    assert not oracle.relation("child::zz-absent").any()
+    assert oracle.pairs("child::d") == frozenset({(2, 3)})
 
 
 def test_nodes_query_is_universal(tiny_tree):

@@ -16,7 +16,6 @@ from repro.trees.axes import (
     iter_axis,
     label_vector,
     parse_axis,
-    successors,
 )
 
 
@@ -133,11 +132,6 @@ def test_axis_edges_match_axis_pairs_on_every_subset(tiny_tree):
                 us, vs = axis_edges(tiny_tree, axis, sources, targets)
                 expected = {(u, v) for u, v in full if sources[u] and targets[v]}
                 assert sorted(zip(us.tolist(), vs.tolist())) == sorted(expected)
-
-
-def test_successors_with_label_filter(tiny_tree):
-    assert successors(tiny_tree, Axis.DESCENDANT, 0, "b") == [1, 4]
-    assert successors(tiny_tree, Axis.CHILD, 2) == [3, 4]
 
 
 def test_descendant_equals_transitive_child(wide_tree, deep_tree):

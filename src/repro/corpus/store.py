@@ -303,8 +303,10 @@ class DocumentStore:
         if not root.is_dir():
             raise CorpusError(f"not a directory: {root}")
         names = []
-        for path in sorted(root.glob(pattern)):
-            names.append(self.add_file(path))
+        # Same order as comparing the paths on POSIX, but Path comparison
+        # rebuilds its key on every call and ``parts`` is built once.
+        for path in sorted(root.glob(pattern), key=lambda entry: entry.parts):
+            names.append(self.add_file(path, path.stem))
         return names
 
     def _register(self, source: DocumentSource) -> str:

@@ -3,7 +3,7 @@
 Compiling a document is the expensive half of every cold corpus start:
 parse the XML and number the tree.  This package persists that work as
 *snapshots* — versioned files holding the tree's struct arrays plus a label
-dictionary, laid out so :func:`numpy.memmap` loads them in O(1) without parsing
+dictionary, laid out so a memory map hands them to numpy without parsing
 (:mod:`repro.snapshot.codec`) — and *spills answer sets* addressed by
 ``(document digest, plan key, engine)``, so a warm start skips the first
 evaluation too (:mod:`repro.snapshot.store`).

@@ -1,4 +1,4 @@
-"""The columnar snapshot file format: encode once, ``np.memmap`` forever.
+"""The columnar snapshot file format: encode once, memory-map forever.
 
 A snapshot is the compiled form of one document: the preorder-indexed
 struct-of-arrays representation of its :class:`repro.trees.tree.Tree`
@@ -7,9 +7,10 @@ No axis relation is stored: the Fig. 8 answerer reads axes set-at-a-time
 off the tree's arrays, and a relation the Theorem 2 evaluator needs is
 rebuilt from them in O(|t| log |t|) plus its size.  The layout is designed
 for O(1) loads: a fixed prefix, one JSON header describing every array
-(dtype, offset, shape), then a 64-byte-aligned little-endian body that
-:func:`numpy.memmap` maps without parsing or copying.  Reconstructing the
-:class:`Tree` wrapper is a single O(n) pass over the mapped columns
+(dtype, offset, shape), then a 64-byte-aligned little-endian body that a
+memory map exposes to numpy without parsing or copying.  Reconstructing the
+:class:`Tree` wrapper converts the mapped columns to lists; its child lists,
+sibling links and label index are derived on first use
 (:meth:`repro.trees.tree.Tree.from_columns`).
 
 On-disk layout (format version 2)::
@@ -35,6 +36,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import mmap
 import struct
 import sys
 from pathlib import Path
@@ -138,6 +141,36 @@ def encode_snapshot(tree: Tree, digest: str) -> bytes:
 
 
 # ----------------------------------------------------------------- decoding
+def _parse_header(read, name: str) -> tuple[dict, int]:
+    """Read and validate the prefix and header through ``read(length)``.
+
+    Returns the header and the body's start offset.  Raises
+    :class:`SnapshotError` for anything malformed.
+    """
+    prefix = read(_PREFIX.size)
+    if len(prefix) < _PREFIX.size:
+        raise SnapshotError(f"snapshot {name}: truncated prefix")
+    magic, version, header_length = _PREFIX.unpack(prefix)
+    if magic != MAGIC:
+        raise SnapshotError(f"snapshot {name}: bad magic")
+    if version != FORMAT_VERSION:
+        raise SnapshotError(
+            f"snapshot {name}: format version {version} (expected {FORMAT_VERSION})"
+        )
+    header_bytes = read(header_length)
+    if len(header_bytes) < header_length:
+        raise SnapshotError(f"snapshot {name}: truncated header")
+    try:
+        header = json.loads(header_bytes)
+    except ValueError as exc:
+        raise SnapshotError(f"snapshot {name}: header is not JSON") from exc
+    if not isinstance(header, dict) or header.get("format") != FORMAT_VERSION:
+        raise SnapshotError(f"snapshot {name}: header format mismatch")
+    if header.get("byteorder") != sys.byteorder:
+        raise SnapshotError(f"snapshot {name}: foreign byte order")
+    return header, _align(_PREFIX.size + header_length)
+
+
 def read_header(path: Union[str, Path]) -> dict:
     """Parse and validate a snapshot file's header (not the body).
 
@@ -146,35 +179,14 @@ def read_header(path: Union[str, Path]) -> dict:
     path = Path(path)
     try:
         with path.open("rb") as handle:
-            prefix = handle.read(_PREFIX.size)
-            if len(prefix) < _PREFIX.size:
-                raise SnapshotError(f"snapshot {path.name}: truncated prefix")
-            magic, version, header_length = _PREFIX.unpack(prefix)
-            if magic != MAGIC:
-                raise SnapshotError(f"snapshot {path.name}: bad magic")
-            if version != FORMAT_VERSION:
-                raise SnapshotError(
-                    f"snapshot {path.name}: format version {version} "
-                    f"(expected {FORMAT_VERSION})"
-                )
-            header_bytes = handle.read(header_length)
+            header, _ = _parse_header(handle.read, path.name)
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    if len(header_bytes) < header_length:
-        raise SnapshotError(f"snapshot {path.name}: truncated header")
-    try:
-        header = json.loads(header_bytes)
-    except ValueError as exc:
-        raise SnapshotError(f"snapshot {path.name}: header is not JSON") from exc
-    if not isinstance(header, dict) or header.get("format") != FORMAT_VERSION:
-        raise SnapshotError(f"snapshot {path.name}: header format mismatch")
-    if header.get("byteorder") != sys.byteorder:
-        raise SnapshotError(f"snapshot {path.name}: foreign byte order")
     return header
 
 
 def _mapped_array(
-    mapped: np.ndarray, body_start: int, total: int, descriptor: dict, name: str
+    body: np.ndarray, body_start: int, descriptor: dict, name: str
 ) -> np.ndarray:
     try:
         dtype = np.dtype(descriptor["dtype"])
@@ -184,10 +196,10 @@ def _mapped_array(
         raise SnapshotError(f"snapshot array {name}: bad descriptor") from exc
     if any(extent < 0 for extent in shape):
         raise SnapshotError(f"snapshot array {name}: negative extent")
-    nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else 0
-    if offset < 0 or offset + nbytes > total:
+    nbytes = dtype.itemsize * math.prod(shape)
+    if offset < 0 or offset + nbytes > body.shape[0]:
         raise SnapshotError(f"snapshot array {name}: body out of range")
-    return mapped[offset : offset + nbytes].view(dtype).reshape(shape)
+    return body[offset : offset + nbytes].view(dtype).reshape(shape)
 
 
 def decode_snapshot(
@@ -196,7 +208,7 @@ def decode_snapshot(
     expected_digest: Optional[str] = None,
     matrix_cache_bytes=_UNSET,
 ) -> Tree:
-    """Load a snapshot into a :class:`Tree` by memory-mapping its body.
+    """Load a snapshot into a :class:`Tree` by memory-mapping the file.
 
     ``expected_digest`` (when given) must match the digest recorded inside
     the file — the stale-source guard.
@@ -209,7 +221,15 @@ def decode_snapshot(
         validated (vectorised, O(n)) before the wrapper is built.
     """
     path = Path(path)
-    header = read_header(path)
+    try:
+        with path.open("rb") as handle:
+            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError) as exc:
+        raise SnapshotError(f"cannot map snapshot {path}: {exc}") from exc
+    # A plain ndarray over the map: slicing it copies nothing and skips the
+    # per-view bookkeeping of the numpy.memmap subclass.
+    body = np.frombuffer(mapped, dtype=np.uint8)
+    header, body_start = _parse_header(mapped.read, path.name)
     if expected_digest is not None and header.get("digest") != expected_digest:
         raise SnapshotError(
             f"snapshot {path.name}: stale digest "
@@ -225,22 +245,12 @@ def decode_snapshot(
         or not isinstance(column_meta, dict)
     ):
         raise SnapshotError(f"snapshot {path.name}: malformed header fields")
-    try:
-        mapped = np.memmap(path, dtype=np.uint8, mode="r")
-    except (OSError, ValueError) as exc:
-        raise SnapshotError(f"cannot map snapshot {path}: {exc}") from exc
-    total = mapped.shape[0]
-    # The body starts after the header, aligned; take the header length from
-    # the prefix bytes (not a re-serialisation, which could differ).
-    (header_length,) = struct.unpack("<I", bytes(mapped[len(MAGIC) + 2 : _PREFIX.size]))
-    body_start = _align(_PREFIX.size + header_length)
-
     columns = {}
     for name in _COLUMN_DTYPES:
         descriptor = column_meta.get(name)
         if not isinstance(descriptor, dict):
             raise SnapshotError(f"snapshot {path.name}: missing column {name}")
-        array = _mapped_array(mapped, body_start, total, descriptor, name)
+        array = _mapped_array(body, body_start, descriptor, name)
         if array.shape != (size,):
             raise SnapshotError(f"snapshot {path.name}: column {name} has wrong shape")
         columns[name] = array
@@ -266,7 +276,7 @@ def decode_snapshot(
 
     if not all(isinstance(label, str) for label in labels_table):
         raise SnapshotError(f"snapshot {path.name}: label dictionary is not all strings")
-    labels = [labels_table[index] for index in label_ids.tolist()]
+    labels = np.array(labels_table, dtype=object)[label_ids].tolist()
     parent_list: list = parent.tolist()
     parent_list[0] = None
     return Tree.from_columns(

@@ -34,11 +34,15 @@ from repro import faults
 from repro._config import UNSET as _UNSET
 from repro.errors import FaultInjectedError
 from repro.obs import trace as _trace
-from repro.snapshot.codec import FORMAT_VERSION, SnapshotError, decode_snapshot, encode_snapshot
+from repro.snapshot.codec import SnapshotError, decode_snapshot, encode_snapshot
 from repro.trees.tree import Tree
 
 TREE_SUFFIX = ".snap"
 ANSWER_SUFFIX = ".ans"
+#: Version of the spilled answer payload, separate from the tree layout's
+#: ``codec.FORMAT_VERSION`` so a tree-layout change keeps spilled answers.
+#: Bump when the payload changes incompatibly; old spills then miss.
+ANSWER_FORMAT_VERSION = 1
 _SUFFIXES = (TREE_SUFFIX, ANSWER_SUFFIX)
 
 
@@ -133,7 +137,7 @@ class SnapshotStore:
         cannot collide.
         """
         identity = json.dumps(
-            [FORMAT_VERSION, "answers", digest, plan, list(variables), engine],
+            [ANSWER_FORMAT_VERSION, "answers", digest, plan, list(variables), engine],
             separators=(",", ":"),
         )
         return hashlib.sha256(identity.encode("utf-8")).hexdigest()
@@ -221,7 +225,7 @@ class SnapshotStore:
             payload = pickle.loads(blob)
             if not isinstance(payload, dict):
                 raise ValueError("answer payload is not a dict")
-            if payload.get("format") != FORMAT_VERSION:
+            if payload.get("format") != ANSWER_FORMAT_VERSION:
                 raise ValueError("answer format version mismatch")
             if (
                 payload.get("digest") != digest
@@ -255,7 +259,7 @@ class SnapshotStore:
         path = self.answer_path(digest, plan, variables, engine)
         payload = pickle.dumps(
             {
-                "format": FORMAT_VERSION,
+                "format": ANSWER_FORMAT_VERSION,
                 "digest": digest,
                 "plan": plan,
                 "variables": list(variables),

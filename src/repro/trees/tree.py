@@ -434,44 +434,64 @@ class Tree:
         This is the snapshot fast path (:mod:`repro.snapshot`): the caller
         provides the preorder-indexed columns exactly as the constructor
         would have computed them — ``labels``, ``parent`` (``None`` at the
-        root), ``depth``, ``post`` and ``subtree_end`` — and only the
-        derived links (child lists, sibling links, label index) are rebuilt
-        here in one O(n) pass.  No structural validation happens beyond
-        what the derivation needs; snapshot loading validates the columns
-        before calling (see :func:`repro.snapshot.codec.decode_snapshot`).
+        root), ``depth``, ``post`` and ``subtree_end``.  The derived links
+        (child lists, sibling links, label index) are left unset and built
+        in one O(n) pass on first read (see :meth:`__getattr__`), so a
+        document whose answers come from the on-disk spill never pays for
+        them.  No structural validation happens beyond what the derivation
+        needs; snapshot loading validates the columns before calling (see
+        :func:`repro.snapshot.codec.decode_snapshot`).
         """
         size = len(labels)
         if size == 0 or parent[0] is not None:
             raise TreeError("columnar tree must have a parentless root at node 0")
         tree = cls.__new__(cls)
+        tree.size = size
+        tree.labels = labels
+        tree.parent = parent
+        tree.depth = depth
+        tree.post = post
+        tree.subtree_end = subtree_end
+        if matrix_cache_bytes is _UNSET:
+            matrix_cache_bytes = _default_cache_budget()
+        tree._matrix_cache = MatrixCache(matrix_cache_bytes)
+        return tree
+
+    #: The slots :meth:`from_columns` leaves for :meth:`_derive_links`.
+    _LINKS = frozenset({"children_of", "next_sibling", "prev_sibling", "_label_index"})
+
+    def __getattr__(self, name: str):
+        # Only reached when normal lookup fails, i.e. for an unset slot, so
+        # reads of built links cost nothing extra.
+        if name not in Tree._LINKS:
+            raise AttributeError(name)
+        self._derive_links()
+        return object.__getattribute__(self, name)
+
+    def _derive_links(self) -> None:
+        """Build child lists, sibling links and the label index from ``parent``.
+
+        Idempotent: two threads racing here compute and store equal values.
+        """
+        size = self.size
+        parent = self.parent
         children_of: list[list[int]] = [[] for _ in range(size)]
         next_sibling: list[Optional[int]] = [None] * size
         prev_sibling: list[Optional[int]] = [None] * size
         for uid in range(1, size):
-            par = parent[uid]
-            kids = children_of[par]
+            kids = children_of[parent[uid]]
             if kids:
                 left = kids[-1]
                 next_sibling[left] = uid
                 prev_sibling[uid] = left
             kids.append(uid)
-        tree.size = size
-        tree.labels = labels
-        tree.parent = parent
-        tree.children_of = [tuple(kids) for kids in children_of]
-        tree.next_sibling = next_sibling
-        tree.prev_sibling = prev_sibling
-        tree.depth = depth
-        tree.post = post
-        tree.subtree_end = subtree_end
         label_index: dict[str, list[int]] = {}
-        for uid, label in enumerate(labels):
+        for uid, label in enumerate(self.labels):
             label_index.setdefault(label, []).append(uid)
-        tree._label_index = {lab: tuple(ids) for lab, ids in label_index.items()}
-        if matrix_cache_bytes is _UNSET:
-            matrix_cache_bytes = _default_cache_budget()
-        tree._matrix_cache = MatrixCache(matrix_cache_bytes)
-        return tree
+        self.children_of = [tuple(kids) for kids in children_of]
+        self.next_sibling = next_sibling
+        self.prev_sibling = prev_sibling
+        self._label_index = {lab: tuple(ids) for lab, ids in label_index.items()}
 
     # ------------------------------------------------------------------ basic
     def nodes(self) -> range:

@@ -268,9 +268,9 @@ def test_axis_relations_match_axis_matrices(kernel_name, axis_references):
     ],
 )
 def test_demand_driven_rows_match_full_matrix(text):
-    # Rows asked for one node at a time (PPLbinOracle.successors /
-    # has_successor, read off the cached relation) against the Fig. 2
-    # semantics.
+    # Rows asked for on demand, one node at a time (PPLbinOracle.successors /
+    # has_successor, each a row of the cached relation), against the full
+    # matrix of the Fig. 2 semantics.
     tree = random_tree(35, seed=17)
     expected = np.zeros((tree.size, tree.size), dtype=bool)
     for source, target in evaluate_path(tree, to_core_xpath(parse_pplbin(text))):

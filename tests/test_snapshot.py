@@ -21,9 +21,14 @@ Covers the tentpole and its satellites:
 from __future__ import annotations
 
 import asyncio
+import copy
+import hashlib
 import json
 import os
+import pickle
 import struct
+import sys
+import threading
 import time
 import warnings
 
@@ -34,6 +39,7 @@ warnings.filterwarnings("ignore", category=DeprecationWarning)
 from repro.corpus.store import DocumentStore
 from repro.errors import CorpusTimeoutError
 from repro.session import ExecutionPolicy, Session
+from repro.snapshot.store import ANSWER_FORMAT_VERSION
 from repro.snapshot import (
     FORMAT_VERSION,
     MAGIC,
@@ -84,6 +90,57 @@ class TestCodec:
             assert [list(c) for c in loaded.children_of] == [
                 list(c) for c in tree.children_of
             ]
+
+    def test_links_derived_on_first_read(self, tmp_path):
+        tree = small_tree()
+        path = tmp_path / "snap.snap"
+        path.write_bytes(encode_snapshot(tree, "d" * 64))
+        loaded = decode_snapshot(path)
+        # Calling the slot descriptor directly bypasses Tree.__getattr__,
+        # so this sees whether the load already built the links.
+        for name in ("children_of", "next_sibling", "prev_sibling", "_label_index"):
+            with pytest.raises(AttributeError):
+                getattr(Tree, name).__get__(loaded)
+        assert loaded.next_sibling == tree.next_sibling
+        assert loaded.prev_sibling == tree.prev_sibling
+        assert loaded.children_of == tree.children_of
+        for label in tree.alphabet():
+            assert loaded.nodes_with_label(label) == tree.nodes_with_label(label)
+        fresh = decode_snapshot(path)
+        clone = pickle.loads(pickle.dumps(fresh))
+        assert clone == tree
+        assert clone.children_of == tree.children_of
+
+    def test_concurrent_first_reads_see_complete_links(self, tmp_path):
+        tree = generate_bibliography(40, authors_per_book=2, seed=3)
+        path = tmp_path / "snap.snap"
+        path.write_bytes(encode_snapshot(tree, "d" * 64))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                loaded = decode_snapshot(path)
+                seen: list = []
+                barrier = threading.Barrier(8)
+
+                def read(name: str) -> None:
+                    barrier.wait(timeout=10)
+                    # Copy at read time: a list published half-filled and
+                    # completed later would otherwise compare equal.
+                    seen.append((name, copy.copy(getattr(loaded, name))))
+
+                names = ["children_of", "next_sibling", "prev_sibling", "_label_index"] * 2
+                threads = [threading.Thread(target=read, args=(name,)) for name in names]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                assert len(seen) == len(names)
+                for name, value in seen:
+                    assert value == getattr(tree, name), name
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_header_readable(self, tmp_path):
         tree = small_tree()
@@ -141,6 +198,16 @@ class TestCodec:
         garbage.write_bytes(b"not a snapshot at all")
         with pytest.raises(SnapshotError):
             decode_snapshot(garbage)
+        empty = tmp_path / "e.snap"
+        empty.write_bytes(b"")
+        with pytest.raises(SnapshotError):
+            decode_snapshot(empty)
+        header_cut = tmp_path / "h.snap"
+        header_cut.write_bytes(blob[:20])
+        with pytest.raises(SnapshotError, match="truncated header"):
+            decode_snapshot(header_cut)
+        with pytest.raises(SnapshotError):
+            decode_snapshot(tmp_path / "missing.snap")
 
     def test_corrupt_body_never_inconsistent(self, tmp_path):
         # Scribble over the parent column: validation must refuse the file
@@ -218,6 +285,18 @@ class TestSnapshotStore:
         # A different engine or plan is a different address.
         assert store.load_answers(digest, QUERY, VARIABLES, "naive") is None
         assert store.load_answers(digest, "child::a", (), "polynomial") is None
+
+    def test_answer_key_ignores_tree_layout_version(self):
+        # Answer spills carry their own payload version, so bumping the tree
+        # layout's FORMAT_VERSION keeps every spill written before it.
+        identity = json.dumps(
+            [ANSWER_FORMAT_VERSION, "answers", "5" * 64, QUERY, VARIABLES, "polynomial"],
+            separators=(",", ":"),
+        )
+        assert ANSWER_FORMAT_VERSION == 1
+        assert SnapshotStore.answer_key(
+            "5" * 64, QUERY, VARIABLES, "polynomial"
+        ) == hashlib.sha256(identity.encode("utf-8")).hexdigest()
 
     def test_corrupt_answers_deleted(self, tmp_path):
         store = SnapshotStore(tmp_path)

@@ -40,6 +40,7 @@ from repro.hcl.binding import PPLbinOracle
 from repro.core.ppl import Violation, ppl_violations
 from repro.core.engine import QueryReport
 from repro.obs import trace as _trace
+from repro.pplbin import bitmatrix as _bitmatrix
 from repro.api.query import Query, _build_query
 from repro.api.registry import DEFAULT_ENGINE, check_capabilities, get_engine
 
@@ -274,42 +275,61 @@ class Document:
         with _trace.span("query.answer", engine=backend.name) as root:
             if _trace.enabled():
                 root.set(query=compiled.unparse())
-            if self._answer_cache is None:
-                with _trace.span("engine.answer", engine=backend.name):
-                    return backend.answer(self, compiled)
-            # Keyed by backend.name (not the requested alias) so "ppl" and
-            # "polynomial" share one entry; capability checks stay above the
-            # cache so a miss and a hit raise identically.  The owner prefix
-            # scopes the entry to this document's *source* inside a shared
-            # corpus-wide cache (see repro.corpus.cache).  The canonical plan
-            # text, not the AST, names the query: an entry then pins one
-            # string rather than a parsed expression per fresh query text.
-            key = (self._cache_owner, compiled.plan_text, compiled.variables, backend.name)
-            with _trace.span("answer_cache.lookup") as lookup:
-                answers = self._answer_cache.get(key)
-                lookup.set(hit=answers is not None)
-            if answers is None and self._snapshot_store is not None:
-                # Spill tier: answers addressed by (source digest, plan, engine)
-                # survive process restarts; a disk hit re-seeds the memory memo.
-                plan = compiled.unparse()
-                with _trace.span("snapshot.answers") as spill:
-                    answers = self._snapshot_store.load_answers(
-                        self._source_digest, plan, compiled.variables, backend.name
-                    )
-                    spill.set(hit=answers is not None)
-                if answers is not None:
-                    self._answer_cache.put(key, answers)
-                    return answers
+            answers = self.cached_answers(compiled, backend.name)
             if answers is None:
                 with _trace.span("engine.answer", engine=backend.name):
                     answers = backend.answer(self, compiled)
-                self._answer_cache.put(key, answers)
-                if self._snapshot_store is not None:
-                    plan = compiled.unparse()
-                    self._snapshot_store.store_answers(
-                        self._source_digest, plan, compiled.variables, backend.name, answers
-                    )
+                self.remember_answers(compiled, backend.name, answers)
             return answers
+
+    def _answer_key(self, compiled: Query, engine: str) -> tuple:
+        # Keyed by the backend's name (not the requested alias) so "ppl" and
+        # "polynomial" share one entry.  The owner prefix scopes the entry to
+        # this document's *source* inside a shared corpus-wide cache (see
+        # repro.corpus.cache).  The canonical plan text, not the AST, names
+        # the query: an entry then pins one string rather than a parsed
+        # expression per fresh query text.
+        return (self._cache_owner, compiled.plan_text, compiled.variables, engine)
+
+    def cached_answers(
+        self, compiled: Query, engine: str
+    ) -> Optional[frozenset[tuple[int, ...]]]:
+        """The memoised answers of ``compiled`` under backend ``engine``, or ``None``.
+
+        Looks in the answer cache, then in the snapshot spill; a spill hit
+        re-seeds the memory cache.  Always ``None`` without answer caching.
+        Capability checks are the caller's: :meth:`answer` runs them first,
+        so a miss and a hit raise identically.
+        """
+        if self._answer_cache is None:
+            return None
+        key = self._answer_key(compiled, engine)
+        with _trace.span("answer_cache.lookup") as lookup:
+            answers = self._answer_cache.get(key)
+            lookup.set(hit=answers is not None)
+        if answers is None and self._snapshot_store is not None:
+            # Spill tier: answers addressed by (source digest, plan, engine)
+            # survive process restarts; a disk hit re-seeds the memory memo.
+            with _trace.span("snapshot.answers") as spill:
+                answers = self._snapshot_store.load_answers(
+                    self._source_digest, compiled.unparse(), compiled.variables, engine
+                )
+                spill.set(hit=answers is not None)
+            if answers is not None:
+                self._answer_cache.put(key, answers)
+        return answers
+
+    def remember_answers(
+        self, compiled: Query, engine: str, answers: frozenset[tuple[int, ...]]
+    ) -> None:
+        """Memoise freshly evaluated answers (cache, then snapshot spill)."""
+        if self._answer_cache is None:
+            return
+        self._answer_cache.put(self._answer_key(compiled, engine), answers)
+        if self._snapshot_store is not None:
+            self._snapshot_store.store_answers(
+                self._source_digest, compiled.unparse(), compiled.variables, engine, answers
+            )
 
     def nonempty(self, query: QueryLike, *, engine: str = DEFAULT_ENGINE) -> bool:
         """Decide non-emptiness of the query (Boolean query answering)."""
@@ -382,16 +402,10 @@ class Document:
             answers = self.answer(compiled, engine=engine)
             cost = meter.finish(time.perf_counter() - started)
             trace_tree = _trace.take_last_trace()
-        if compiled.hcl is not None:
-            hcl_size = compiled.hcl.size
-            distinct_leaves = len({leaf.query for leaf in compiled.hcl.leaves()})
-        else:
-            hcl_size = 0
-            distinct_leaves = 0
         return QueryReport(
-            expression_size=compiled.source.size,
-            hcl_size=hcl_size,
-            distinct_leaves=distinct_leaves,
+            expression_size=compiled.expression_size,
+            hcl_size=compiled.hcl_size,
+            distinct_leaves=compiled.distinct_leaves,
             variables=compiled.variables,
             answer_count=len(answers),
             tree_size=self.tree.size,
@@ -402,7 +416,7 @@ class Document:
             cost=cost,
         )
 
-    def cost_meter(self) -> "_CostMeter":
+    def cost_meter(self) -> "CostMeter":
         """Start a per-query resource-accounting capture on this document.
 
         Returns a meter snapshotting the process-wide kernel op counters,
@@ -413,7 +427,7 @@ class Document:
         every surface reports the same block; deltas are best-effort when
         other threads evaluate concurrently on the same process.
         """
-        return _CostMeter(self)
+        return CostMeter(self.tree, self._answer_cache, self._snapshot_store)
 
     # -------------------------------------------------------------------- batch
     def answer_many(
@@ -451,32 +465,32 @@ class Document:
         return self.compile(query, tuple(variables or ()), require_ppl=False)
 
 
-class _CostMeter:
-    """Before-counters for one query's cost block (see ``Document.cost_meter``)."""
+class CostMeter:
+    """Before-counters for one evaluation's cost block.
 
-    __slots__ = ("_document", "_bitmatrix", "_ops", "_matrix", "_answer", "_snapshot")
+    Meters the process-wide kernel counters, ``tree``'s matrix cache and,
+    when given, an answer cache and a snapshot store.  ``tree`` is a
+    document's tree, or the :class:`repro.trees.forest.Forest` a corpus pass
+    answers over (see ``Document.cost_meter``).
+    """
 
-    def __init__(self, document: Document) -> None:
-        from repro.pplbin import bitmatrix as _bitmatrix
+    __slots__ = (
+        "_tree", "_answer_cache", "_snapshot_store", "_ops", "_matrix", "_answer", "_snapshot",
+    )
 
-        self._document = document
-        self._bitmatrix = _bitmatrix
+    def __init__(self, tree, answer_cache=None, snapshot_store=None) -> None:
+        self._tree = tree
+        self._answer_cache = answer_cache
+        self._snapshot_store = snapshot_store
         self._ops = _bitmatrix.counters()
-        self._matrix = document.tree.matrix_cache().stats
-        self._answer = (
-            document._answer_cache.stats if document._answer_cache is not None else None
-        )
-        self._snapshot = (
-            document._snapshot_store.stats
-            if document._snapshot_store is not None
-            else None
-        )
+        self._matrix = tree.matrix_cache().stats
+        self._answer = answer_cache.stats if answer_cache is not None else None
+        self._snapshot = snapshot_store.stats if snapshot_store is not None else None
 
     def finish(self, seconds: float) -> dict:
         """The cost block: deltas of every counter since the meter started."""
-        document = self._document
-        ops = self._bitmatrix.counters()
-        matrix = document.tree.matrix_cache().stats
+        ops = _bitmatrix.counters()
+        matrix = self._tree.matrix_cache().stats
         cost = {
             "seconds": seconds,
             "compose_ops": ops["full_compose"] - self._ops["full_compose"],
@@ -489,13 +503,16 @@ class _CostMeter:
             "matrix_bytes": max(0, matrix.current_bytes - self._matrix.current_bytes),
             "matrix_cache_hits": matrix.hits - self._matrix.hits,
             "matrix_cache_misses": matrix.misses - self._matrix.misses,
+            # Documents that shared the Fig. 8 run: 1 on this path; the
+            # corpus executor's forest pass sets its own count.
+            "forest_documents": 1,
         }
         if self._answer is not None:
-            answer = document._answer_cache.stats
+            answer = self._answer_cache.stats
             cost["answer_cache_hits"] = answer.hits - self._answer.hits
             cost["answer_cache_misses"] = answer.misses - self._answer.misses
         if self._snapshot is not None:
-            snapshot = document._snapshot_store.stats
+            snapshot = self._snapshot_store.stats
             cost["snapshot_hits"] = snapshot.answer_hits - self._snapshot.answer_hits
         return cost
 

@@ -107,6 +107,23 @@ class Query:
         """
         return self.source.unparse()
 
+    @cached_property
+    def expression_size(self) -> int:
+        """Node count of the source expression (``QueryReport.expression_size``)."""
+        return self.source.size
+
+    @cached_property
+    def hcl_size(self) -> int:
+        """Size of the HCL translation, 0 when not PPL (``QueryReport.hcl_size``)."""
+        return self.hcl.size if self.hcl is not None else 0
+
+    @cached_property
+    def distinct_leaves(self) -> int:
+        """Distinct binary queries among the HCL leaves (``QueryReport.distinct_leaves``)."""
+        if self.hcl is None:
+            return 0
+        return len({leaf.query for leaf in self.hcl.leaves()})
+
     @property
     def cache_key(self) -> tuple:
         """The plan-identity key ``(expression, variables)``.

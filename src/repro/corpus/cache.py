@@ -15,11 +15,17 @@ entry counts:
   ``owner`` is a token identifying the registered *source* (not the
   materialised document), so answers survive document eviction and are
   reused when the document is reloaded;
-* answer sets are stored packed, as sorted int32 rows (one per tuple), and
-  rebuilt into a frozenset on a hit: a frozenset of pairs costs over 100
-  bytes per pair where the rows cost 4 bytes per node id;
+* answer sets are stored packed, as sorted int32 rows (one per tuple) in
+  one ``bytes`` object, and rebuilt into a frozenset on a hit: a frozenset
+  of pairs costs over 100 bytes per pair where the rows cost 4 bytes per
+  node id;
+* entries are grouped by query (the key without its owner): a corpus pass
+  puts one entry per document for each query, and a group holds them in
+  one small dict rather than one LRU node and key tuple each, which is
+  most of an entry's footprint when answer sets are small;
 * the budget is enforced by least-recently-used eviction over each entry's
-  resident bytes;
+  resident bytes: the least recently used entry of the least recently used
+  query goes first;
 * hit/miss/insertion/eviction counters and the current byte total are
   exposed as :class:`AnswerCacheStats` — surfaced by
   :class:`repro.corpus.report.CorpusReport` and the serving layer's
@@ -41,12 +47,16 @@ from typing import Hashable, Optional
 import numpy as np
 
 
-class PackedAnswers:
-    """An answer set stored as sorted int32 rows, one per answer tuple."""
+class PackedAnswers(bytes):
+    """An answer set stored as sorted int32 rows, one per answer tuple.
 
-    __slots__ = ("rows",)
+    The first two int32 words are the tuple width and the tuple count.
+    """
 
-    def __init__(self, answers: frozenset) -> None:
+    __slots__ = ()
+
+    @classmethod
+    def pack(cls, answers: frozenset) -> "PackedAnswers":
         count = len(answers)
         width = len(next(iter(answers))) if count else 0
         flat = np.fromiter(
@@ -54,17 +64,21 @@ class PackedAnswers:
         )
         rows = flat.reshape(count, width)
         if width:
-            rows = rows[np.lexsort(rows.T[::-1])]  # sorted, and owns its buffer
-        self.rows = rows
+            rows = rows[np.lexsort(rows.T[::-1])]
+        return cls(np.array([width, count], dtype=np.int32).tobytes() + rows.tobytes())
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes: the row buffer plus the array and wrapper objects."""
-        return sys.getsizeof(self.rows) + sys.getsizeof(self)
+        """Resident bytes of the packed rows, header and object included."""
+        return sys.getsizeof(self)
 
     def unpack(self) -> frozenset:
         """Rebuild the answer set."""
-        return frozenset(map(tuple, self.rows.tolist()))
+        width, count = np.frombuffer(self, dtype=np.int32, count=2).tolist()
+        if not width:
+            return frozenset({()}) if count else frozenset()
+        rows = np.frombuffer(self, dtype=np.int32, offset=8).reshape(count, width)
+        return frozenset(map(tuple, rows.tolist()))
 
 
 def estimate_answer_bytes(answers: frozenset) -> int:
@@ -73,7 +87,7 @@ def estimate_answer_bytes(answers: frozenset) -> int:
     That is the size of its packed rows (see :class:`PackedAnswers`), which
     is what the cache holds.
     """
-    return PackedAnswers(answers).nbytes
+    return PackedAnswers.pack(answers).nbytes
 
 
 def estimate_entry_bytes(value) -> int:
@@ -135,8 +149,11 @@ class AnswerCache:
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes must be non-negative (or None for unbounded)")
         self.max_bytes = max_bytes
-        self._entries: "OrderedDict[tuple, tuple[object, int]]" = OrderedDict()
+        #: ``key[1:]`` (the query) -> ``{key[0] (the owner): value}``, both
+        #: in recency order, least recent first.
+        self._groups: "OrderedDict[tuple, dict]" = OrderedDict()
         self._lock = threading.Lock()
+        self._count = 0
         self._bytes = 0
         self._hits = 0
         self._misses = 0
@@ -148,34 +165,47 @@ class AnswerCache:
 
         An answer set comes back as a new frozenset equal to the one put.
         """
+        query, owner = key[1:], key[0]
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            group = self._groups.get(query)
+            value = None if group is None else group.pop(owner, None)
+            if value is None:
                 self._misses += 1
                 return None
-            self._entries.move_to_end(key)
+            group[owner] = value
+            self._groups.move_to_end(query)
             self._hits += 1
-            value = entry[0]
         return value.unpack() if isinstance(value, PackedAnswers) else value
 
     def put(self, key: tuple, answers) -> None:
         """Insert an entry (answer set or packed matrix), evicting LRU to budget."""
         if isinstance(answers, frozenset):
-            answers = PackedAnswers(answers)
+            answers = PackedAnswers.pack(answers)
         cost = estimate_entry_bytes(answers)
+        query, owner = key[1:], key[0]
         with self._lock:
             if self.max_bytes is not None and cost > self.max_bytes:
                 return
-            previous = self._entries.pop(key, None)
+            group = self._groups.get(query)
+            if group is None:
+                group = self._groups[query] = {}
+            else:
+                self._groups.move_to_end(query)
+            previous = group.pop(owner, None)
             if previous is not None:
-                self._bytes -= previous[1]
-            self._entries[key] = (answers, cost)
+                self._bytes -= estimate_entry_bytes(previous)
+                self._count -= 1
+            group[owner] = answers
             self._bytes += cost
+            self._count += 1
             self._insertions += 1
             while self.max_bytes is not None and self._bytes > self.max_bytes:
-                _, (_, evicted_cost) = self._entries.popitem(last=False)
-                self._bytes -= evicted_cost
+                oldest, victims = next(iter(self._groups.items()))
+                self._bytes -= estimate_entry_bytes(victims.pop(next(iter(victims))))
+                self._count -= 1
                 self._evictions += 1
+                if not victims:
+                    del self._groups[oldest]
 
     def drop_owner(self, owner: Hashable) -> int:
         """Remove every entry whose key starts with ``owner``; return the count.
@@ -183,17 +213,25 @@ class AnswerCache:
         Called when a source is discarded from the store, so a later document
         registered under the same name can never see the old answers.
         """
+        dropped = 0
         with self._lock:
-            stale = [key for key in self._entries if key[0] == owner]
-            for key in stale:
-                _, cost = self._entries.pop(key)
-                self._bytes -= cost
-            return len(stale)
+            for query in list(self._groups):
+                group = self._groups[query]
+                value = group.pop(owner, None)
+                if value is None:
+                    continue
+                self._bytes -= estimate_entry_bytes(value)
+                dropped += 1
+                if not group:
+                    del self._groups[query]
+            self._count -= dropped
+        return dropped
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
         with self._lock:
-            self._entries.clear()
+            self._groups.clear()
+            self._count = 0
             self._bytes = 0
 
     @property
@@ -207,12 +245,12 @@ class AnswerCache:
                 evictions=self._evictions,
                 current_bytes=self._bytes,
                 max_bytes=self.max_bytes,
-                entries=len(self._entries),
+                entries=self._count,
             )
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return self._count
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

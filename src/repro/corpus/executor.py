@@ -5,9 +5,10 @@ documents of a :class:`repro.corpus.store.DocumentStore` under one of three
 strategies:
 
 ``"serial"``
-    One pass over the documents in the calling thread.  Fully lazy: a
-    document is materialised only when the consumer pulls its results, so a
-    bounded store never holds more than its cap plus one.
+    One pass over the documents in the calling thread.  The documents
+    already resident answer together when the pass starts; every other
+    document is materialised only when the consumer pulls its results, so
+    a bounded store never holds more than its cap plus one.
 
 ``"threads"``
     A ``ThreadPoolExecutor`` sharing the store (which is thread-safe).  Most
@@ -26,6 +27,27 @@ strategies:
     plain frozensets; the dense oracle matrices never cross a process
     boundary because they are far cheaper to rebuild than to pickle.
 
+Forest passes
+-------------
+A pass answers each query *once* over the documents resident when it
+starts: their trees are laid end to end as one
+:class:`repro.trees.forest.Forest`, Fig. 8 runs over it, and the answers
+are split back per document (:func:`_evaluate_documents`).  Under
+``"processes"`` each shard whose worker has answered before receives one
+batch job per pass, and the worker does this over the documents it holds
+(a fresh or respawned worker gets per-document jobs); under ``"serial"``
+the parent does it over the store's resident set.  A (document, query) pair takes the
+per-document path instead when the document is not resident (the forest
+never forces a load), when its answer is cached or spilled, when the plan
+has an ``except`` leaf (the Theorem 2 relation would be quadratic in the
+whole forest), or when the engine is not ``polynomial``.  ``"threads"``,
+``submit_document`` and the degraded fallback stay one document per task.
+Everything per document stays: one :class:`CorpusResult` and
+:class:`repro.api.QueryReport` per pair, answer-cache entries under the
+same keys, fault points per document key.  ``seconds`` and the cost block
+split the forest run's time and counters in proportion to document size,
+and ``cost["forest_documents"]`` says how many documents shared the run.
+
 Results stream back as :class:`CorpusResult` values — an iterator, not a
 list, so aggregation, early exit and pipelining all work without holding a
 corpus worth of answer sets.  With ``ordered=True`` (the default) results
@@ -34,7 +56,9 @@ arrive in deterministic store order regardless of completion order; with
 
 Fault tolerance
 ---------------
-The processes strategy is *supervised*: a worker death
+A shard batch that fails or whose worker dies is re-submitted as
+per-document jobs, so everything below applies per document.  The
+processes strategy is *supervised*: a worker death
 (``BrokenProcessPool`` — OOM kill, native segfault, pickling explosion)
 no longer aborts the stream.  The shard's supervisor attributes the crash
 to the document that was being evaluated, respawns the pool with
@@ -73,13 +97,15 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from repro import faults
 from repro._config import UNSET as _UNSET
 from repro.core.engine import QueryReport
-from repro.api.document import BatchItem, Document, iter_batch
+from repro.api.document import BatchItem, CostMeter, Document, iter_batch
 from repro.api.query import PlanMemo, Query, compile_query
-from repro.api.registry import DEFAULT_ENGINE
+from repro.api.registry import DEFAULT_ENGINE, check_capabilities, get_engine
 from repro.corpus.store import CorpusError, DocumentStore, StoreStats
-from repro.errors import DocumentQuarantinedError
+from repro.errors import DocumentQuarantinedError, ReproError
+from repro.hcl.answering import forest_safe, plan_for
 from repro.obs import trace as _trace
 from repro.obs.metrics import MetricsRegistry
+from repro.trees.forest import Forest
 
 STRATEGIES = ("serial", "threads", "processes")
 
@@ -233,6 +259,7 @@ def _worker_initialise(
     _WORKER["store"] = store
     _WORKER["queries"] = PlanMemo()
     _WORKER["metrics"] = MetricsRegistry()
+    _WORKER["forests"] = _ForestCache()
     # A forked worker inherits the parent thread's span stack (the dispatch
     # span is open while pools spawn); start from a clean slate.
     _trace.reset_thread()
@@ -261,6 +288,211 @@ def _worker_query(text: str, variables: tuple[str, ...]) -> Query:
     return query
 
 
+#: One (document, query) result as it ships from wherever it was evaluated.
+Payload = tuple[str, tuple[str, ...], frozenset, QueryReport, float]
+
+
+def _split(total: float, sizes: Sequence[int]) -> list:
+    """Split ``total`` in proportion to ``sizes``; integer totals stay exact.
+
+    Integers go by largest remainder, so the parts are integers that add up
+    to ``total``; floats are plain proportional shares.
+    """
+    whole = sum(sizes)
+    if isinstance(total, float):
+        return [total * size / whole for size in sizes]
+    parts = [total * size // whole for size in sizes]
+    order = sorted(
+        range(len(sizes)), key=lambda index: (total * sizes[index]) % whole, reverse=True
+    )
+    for index in order[: total - sum(parts)]:
+        parts[index] += 1
+    return parts
+
+
+class _ForestCache:
+    """The last :class:`repro.trees.forest.Forest` built, reused across passes.
+
+    Keyed by the identity of the documents' trees: a reload or a same-name
+    replacement builds a new tree, so a changed document can never be
+    answered from a stale forest.  The cached forest keeps its trees alive
+    until the next forest replaces it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._trees: tuple = ()
+        self._forest = None
+
+    def get(self, documents: Sequence[Document]) -> Forest:
+        trees = tuple(document.tree for document in documents)
+        with self._lock:
+            if len(trees) == len(self._trees) and all(
+                mine is theirs for mine, theirs in zip(trees, self._trees)
+            ):
+                return self._forest
+        with _trace.span("corpus.forest.build", documents=len(trees)):
+            forest = Forest(trees)
+        with self._lock:
+            self._trees, self._forest = trees, forest
+        return forest
+
+
+def _forest_plan(query: Query, engine: str):
+    """The Fig. 8 plan when ``query`` may share a forest run, else ``None``.
+
+    Only the polynomial engine runs Fig. 8, and only plans without an
+    ``except`` leaf stay linear over a forest (see
+    :func:`repro.hcl.answering.forest_safe`).  A query the engine would
+    reject returns ``None``, so the per-document path raises as before.
+    """
+    try:
+        backend = get_engine(engine)
+        if backend.name != "polynomial":
+            return None
+        check_capabilities(backend, query)
+        plan = plan_for(query.hcl, query.variables)
+    except ReproError:
+        return None
+    return plan if forest_safe(plan) else None
+
+
+def _evaluate_documents(
+    entries: Sequence[tuple[str, Document]],
+    queries: Sequence[Query],
+    engine: str,
+    registry: MetricsRegistry,
+    strategy: str,
+    *,
+    site: str,
+    forests: Optional[_ForestCache] = None,
+) -> list:
+    """Answer every query on several resident documents, wherever they live.
+
+    The one evaluation loop shared by the shard workers, the serial and
+    threads strategies, and the degraded in-parent fallback — identical
+    code on every path is what makes "byte-identical answers across
+    strategies" a structural property rather than a test assertion.
+
+    Returns one outcome per entry: the document's list of
+    ``(text, variables, answers, report, seconds)`` payloads, one per query,
+    or the exception that ended its attempt.  With ``forests`` and more than
+    one document, each query the forest can take (:func:`_forest_plan`)
+    runs Fig. 8 once over the forest of the documents its answer cache
+    misses; the rest answer one document at a time.  The :mod:`repro.faults`
+    points bracket each document: ``worker_crash``/``slow_query`` fire
+    before the first evaluation (where an arriving dispatch would die),
+    ``pickle_error`` after the last (where result marshalling would).
+    """
+    outcomes: list = [None] * len(entries)
+    rows: dict[int, list] = {}
+    for index, (name, _) in enumerate(entries):
+        try:
+            faults.trip("worker_crash", key=name, site=site)
+            faults.trip("slow_query", key=name, site=site)
+        except Exception as error:  # noqa: BLE001 — ends this document's attempt
+            outcomes[index] = error
+        else:
+            rows[index] = []
+    histogram = registry.histogram(
+        EVAL_HISTOGRAM, _EVAL_HELP, labels={"engine": engine, "strategy": strategy}
+    )
+
+    def record(index: int, query: Query, answers, cost: dict, elapsed: float, trace_tree):
+        document = entries[index][1]
+        histogram.observe(elapsed)
+        report = document.report(query, engine=engine, answers=answers)
+        changes: dict = {"cost": cost}
+        if report.trace is None and trace_tree is not None:
+            changes["trace"] = trace_tree
+        observe_cost(registry, cost, engine=engine, strategy=strategy)
+        text, variables = _query_spec(query)
+        rows[index].append(
+            (text, variables, answers, dataclass_replace(report, **changes), elapsed)
+        )
+
+    for query in queries:
+        alone = list(rows)
+        plan = _forest_plan(query, engine) if forests is not None and len(alone) > 1 else None
+        if plan is not None:
+            alone = _answer_forest(entries, alone, query, plan, forests, record)
+        for index in alone:
+            if index not in rows:
+                continue
+            document = entries[index][1]
+            if _trace.enabled():
+                _trace.take_last_trace()
+            try:
+                meter = document.cost_meter()
+                started = time.perf_counter()
+                answers = document.answer(query, engine=engine)
+                elapsed = time.perf_counter() - started
+            except Exception as error:  # noqa: BLE001 — ends this document's attempt
+                outcomes[index] = error
+                del rows[index]
+                continue
+            record(index, query, answers, meter.finish(elapsed), elapsed, _trace.take_last_trace())
+    for index, payload in rows.items():
+        try:
+            faults.trip("pickle_error", key=entries[index][0], site=site)
+        except Exception as error:  # noqa: BLE001 — ends this document's attempt
+            outcomes[index] = error
+        else:
+            outcomes[index] = payload
+    return outcomes
+
+
+def _answer_forest(entries, indices, query: Query, plan, forests: _ForestCache, record) -> list:
+    """One Fig. 8 run of ``plan`` over the documents whose cache misses.
+
+    Answer-cache and spill hits are recorded as they are; the misses share
+    one forest run (a lone miss runs on its own tree, a forest of one),
+    whose time and counters are split over them by size.  Returns the
+    indices left for the per-document path: the misses, if the run failed.
+    """
+    engine = "polynomial"  # the cache key names the backend, not an alias
+    misses = []
+    for index in indices:
+        document = entries[index][1]
+        meter = document.cost_meter()
+        started = time.perf_counter()
+        answers = document.cached_answers(query, engine)
+        elapsed = time.perf_counter() - started
+        if answers is not None:
+            record(index, query, answers, meter.finish(elapsed), elapsed, None)
+        else:
+            misses.append((index, meter.finish(elapsed), elapsed))
+    if not misses:
+        return []
+    documents = [entries[index][1] for index, _, _ in misses]
+    if _trace.enabled():
+        _trace.take_last_trace()
+    started = time.perf_counter()
+    try:
+        with _trace.span("corpus.forest.answer", documents=len(documents)):
+            if len(documents) == 1:
+                forest, answerer = documents[0].tree, documents[0].answerer
+            else:
+                forest = forests.get(documents)
+                answerer = forest.answerer()
+            meter = CostMeter(forest)
+            answer_sets = answerer.run_documents(plan)
+    except Exception:  # noqa: BLE001 — each document then answers (or fails) alone
+        return [index for index, _, _ in misses]
+    block = meter.finish(time.perf_counter() - started)
+    trace_tree = _trace.take_last_trace()
+    del block["forest_documents"]
+    sizes = [document.tree.size for document in documents]
+    shares = {key: _split(value, sizes) for key, value in block.items()}
+    for position, ((index, cost, _), answers) in enumerate(zip(misses, answer_sets)):
+        documents[position].remember_answers(query, engine, answers)
+        for key, parts in shares.items():
+            cost[key] += parts[position]
+        cost["forest_documents"] = len(documents)
+        record(index, query, answers, cost, cost["seconds"], trace_tree)
+    return []
+
+
 def _evaluate_document(
     document: Document,
     queries: Sequence[Query],
@@ -270,49 +502,44 @@ def _evaluate_document(
     *,
     site: str,
     key: str,
-) -> list[tuple[str, tuple[str, ...], frozenset, QueryReport, float]]:
-    """Answer every query on one document, wherever the document lives.
-
-    The one evaluation loop shared by the shard workers, the serial and
-    threads strategies, and the degraded in-parent fallback — identical
-    code on every path is what makes "byte-identical answers across
-    strategies" a structural property rather than a test assertion.  The
-    :mod:`repro.faults` points bracket it: ``worker_crash``/``slow_query``
-    fire before the first evaluation (where an arriving dispatch would
-    die), ``pickle_error`` after the last (where result marshalling would).
-    """
-    faults.trip("worker_crash", key=key, site=site)
-    faults.trip("slow_query", key=key, site=site)
-    histogram = registry.histogram(
-        EVAL_HISTOGRAM, _EVAL_HELP, labels={"engine": engine, "strategy": strategy}
+) -> list[Payload]:
+    """Answer every query on one document: the loop above for one entry."""
+    (outcome,) = _evaluate_documents(
+        [(key, document)], queries, engine, registry, strategy, site=site
     )
-    results = []
-    for query in queries:
-        if _trace.enabled():
-            _trace.take_last_trace()
-        meter = document.cost_meter()
-        started = time.perf_counter()
-        answers = document.answer(query, engine=engine)
-        elapsed = time.perf_counter() - started
-        cost = meter.finish(elapsed)
-        histogram.observe(elapsed)
-        report = document.report(query, engine=engine, answers=answers)
-        changes: dict = {"cost": cost}
-        if report.trace is None:
-            trace_tree = _trace.take_last_trace()
-            if trace_tree is not None:
-                changes["trace"] = trace_tree
-        report = dataclass_replace(report, **changes)
-        observe_cost(registry, cost, engine=engine, strategy=strategy)
-        text, variables = _query_spec(query)
-        results.append((text, variables, answers, report, elapsed))
-    faults.trip("pickle_error", key=key, site=site)
-    return results
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
+
+
+def _answer_resident(
+    store: DocumentStore,
+    names: Sequence[str],
+    queries: Sequence[Query],
+    engine: str,
+    registry: MetricsRegistry,
+    strategy: str,
+    *,
+    site: str,
+    forests: _ForestCache,
+) -> dict:
+    """``name -> (document, outcome)`` for the names resident right now.
+
+    They are answered together (:func:`_evaluate_documents`), sharing forest
+    runs; names not resident are left out, so the forest never forces a
+    load.
+    """
+    resident = [(name, store.peek(name)) for name in dict.fromkeys(names)]
+    resident = [(name, document) for name, document in resident if document is not None]
+    outcomes = _evaluate_documents(
+        resident, queries, engine, registry, strategy, site=site, forests=forests
+    )
+    return {name: (document, outcome) for (name, document), outcome in zip(resident, outcomes)}
 
 
 def _worker_answer(
     name: str, query_specs: Sequence[tuple[str, tuple[str, ...]]], engine: str
-) -> list[tuple[str, tuple[str, ...], frozenset, QueryReport, float]]:
+) -> list[Payload]:
     """Answer every query on one document inside the shard worker."""
     document = _WORKER["store"].get(name)
     queries = [_worker_query(text, variables) for text, variables in query_specs]
@@ -325,6 +552,43 @@ def _worker_answer(
         site="worker",
         key=name,
     )
+
+
+def _worker_answer_batch(
+    names: Sequence[str], query_specs: Sequence[tuple[str, tuple[str, ...]]], engine: str
+) -> list:
+    """Answer every query on a shard's documents inside its worker.
+
+    One outcome per name: the payload list, or ``None`` for a document
+    whose attempt failed, which the parent re-submits as its own job (the
+    exception itself stays here; not every exception pickles).
+    """
+    store, registry = _WORKER["store"], _WORKER["metrics"]
+    queries = [_worker_query(text, variables) for text, variables in query_specs]
+    together = _answer_resident(
+        store, names, queries, engine, registry, "processes",
+        site="worker", forests=_WORKER["forests"],
+    )
+    outcomes = []
+    for name in names:
+        if name in together:
+            outcome = together.pop(name)[1]
+        else:
+            try:
+                outcome = _evaluate_document(
+                    store.get(name), queries, engine, registry, "processes",
+                    site="worker", key=name,
+                )
+            except Exception:  # noqa: BLE001 — the parent re-submits it
+                outcome = None
+        outcomes.append(None if isinstance(outcome, BaseException) else outcome)
+    return outcomes
+
+
+def _worker_prepare(query_specs: Sequence[tuple[str, tuple[str, ...]]], engine: str) -> None:
+    """Compile queries (and their Fig. 8 plans) a respawned worker is about to answer."""
+    for text, variables in query_specs:
+        _forest_plan(_worker_query(text, variables), engine)
 
 
 def _worker_stats() -> tuple[int, int, int, int, int, int]:
@@ -359,18 +623,33 @@ def _worker_metrics() -> Optional[dict]:
 
 # --------------------------------------------------------------- shard pools
 class _Job:
-    """One in-flight document dispatch, tracked across worker incarnations."""
+    """One in-flight dispatch, tracked across worker incarnations.
 
-    __slots__ = ("seq", "name", "query_specs", "engine", "outer", "inner", "attempts")
+    ``name`` is one document, or for a shard batch (``batch``) the tuple of
+    documents the worker answers together.
+    """
 
-    def __init__(self, name: str, query_specs, engine: str) -> None:
+    __slots__ = ("seq", "name", "query_specs", "engine", "outer", "inner", "attempts", "batch")
+
+    def __init__(self, name, query_specs, engine: str) -> None:
         self.seq = 0
         self.name = name
+        self.batch = isinstance(name, tuple)
         self.query_specs = query_specs
         self.engine = engine
         self.outer: Future = Future()
         self.inner: Optional[Future] = None
         self.attempts = 0
+
+
+def _copy_future(source: Future, target: Future) -> None:
+    """Resolve ``target`` the way ``source`` resolved."""
+    if source.cancelled():
+        target.cancel()
+    elif source.exception() is not None:
+        _resolve_job(target, error=source.exception())
+    else:
+        _resolve_job(target, result=source.result())
 
 
 def _resolve_job(outer: Future, *, result=None, error: Optional[BaseException] = None) -> None:
@@ -420,6 +699,11 @@ class _ShardPool:
         self.epoch = 0
         self.restarts = 0
         self.degraded = False
+        #: Whether the current worker has answered a job and so holds
+        #: documents.  Only a warm worker gets batches (forest passes); a
+        #: cold one gets per-document jobs, which stream and lose only the
+        #: document in flight when the worker dies.
+        self.warm = False
         self._closed = False
         # Reentrant: ``add_done_callback`` on an already-done future runs
         # the callback inline, which would deadlock a plain lock.
@@ -428,9 +712,9 @@ class _ShardPool:
         self._jobs: dict[int, _Job] = {}
         self._dead: dict[int, _Job] = {}
         self._recovering = False
-        self.pool = self._spawn()
+        self.pool = self._spawn(self.epoch)
 
-    def _spawn(self) -> ProcessPoolExecutor:
+    def _spawn(self, epoch: int) -> ProcessPoolExecutor:
         specs, max_resident, answer_cache_bytes, cache_answers, store_config = (
             self._spawn_args
         )
@@ -444,11 +728,50 @@ class _ShardPool:
             # sampled-only parent never produces fully traced workers.
             initargs=(specs, max_resident, answer_cache_bytes, cache_answers,
                       store_config, _trace.tracing_enabled(), _trace.sample_rate(),
-                      faults.payload(), self.epoch),
+                      faults.payload(), epoch),
         )
 
     # ------------------------------------------------------------- submission
-    def submit(self, name: str, query_specs, engine: str) -> Future:
+    def submit_batch(self, names: Sequence[str], query_specs, engine: str) -> list[Future]:
+        """Submit the shard's documents as one job; one future per document.
+
+        The worker answers the documents it holds resident in one forest
+        pass (:func:`_worker_answer_batch`).  A document whose outcome is
+        an exception, and every document of a batch that fails or whose
+        worker dies, is re-submitted as its own job, so retries, crash
+        attribution, quarantine and the breaker see per-document jobs only.
+        """
+        outers: list[Future] = [Future() for _ in names]
+
+        def alone(index: int) -> None:
+            try:
+                inner = self.submit(names[index], query_specs, engine)
+            except RuntimeError:  # shut down meanwhile
+                outers[index].cancel()
+                return
+            inner.add_done_callback(
+                lambda done, outer=outers[index]: _copy_future(done, outer)
+            )
+
+        def fan_out(done: Future) -> None:
+            if done.cancelled():
+                for outer in outers:
+                    outer.cancel()
+                return
+            if done.exception() is not None:
+                for index in range(len(names)):
+                    alone(index)
+                return
+            for index, outcome in enumerate(done.result()):
+                if outcome is None:
+                    alone(index)
+                else:
+                    _resolve_job(outers[index], result=outcome)
+
+        self.submit(tuple(names), query_specs, engine).add_done_callback(fan_out)
+        return outers
+
+    def submit(self, name, query_specs, engine: str) -> Future:
         job = _Job(name, query_specs, engine)
         with self._lock:
             if self._closed:
@@ -485,10 +808,9 @@ class _ShardPool:
                 degraded = True
             else:
                 degraded = False
+                work = _worker_answer_batch if job.batch else _worker_answer
                 try:
-                    inner = self.pool.submit(
-                        _worker_answer, job.name, job.query_specs, job.engine
-                    )
+                    inner = self.pool.submit(work, job.name, job.query_specs, job.engine)
                 except BrokenExecutor:
                     # Pool already broken (burst of deaths): park the job
                     # for the supervisor round in flight.
@@ -499,7 +821,16 @@ class _ShardPool:
                     lambda finished, job=job: self._on_inner_done(job, finished)
                 )
         if degraded:
-            self._submit_degraded(job)
+            if job.batch:
+                self._fail_batch(job)
+            else:
+                self._submit_degraded(job)
+
+    def _fail_batch(self, job: _Job) -> None:
+        """End a batch job so its documents are re-submitted one by one."""
+        with self._lock:
+            self._jobs.pop(job.seq, None)
+        _resolve_job(job.outer, error=BrokenExecutor("shard batch interrupted"))
 
     def _on_inner_done(self, job: _Job, inner: Future) -> None:
         if inner.cancelled():
@@ -511,6 +842,7 @@ class _ShardPool:
         if error is None:
             with self._lock:
                 self._jobs.pop(job.seq, None)
+                self.warm = True
             _resolve_job(job.outer, result=inner.result())
             return
         if isinstance(error, BrokenExecutor):
@@ -521,9 +853,10 @@ class _ShardPool:
                     return
                 self._mark_dead_locked(job)
             return
-        # Ordinary failure: the worker survived, the document did not.
+        # Ordinary failure: the worker survived, the document did not.  A
+        # batch is not retried: its documents go on as their own jobs.
         job.attempts += 1
-        if job.attempts <= self.executor.max_retries:
+        if not job.batch and job.attempts <= self.executor.max_retries:
             self.executor._record_retry(type(error).__name__)
             delay = self.executor.retry_backoff * (2 ** (job.attempts - 1))
             timer = threading.Timer(delay, self._submit_inner, args=(job,))
@@ -557,13 +890,21 @@ class _ShardPool:
                 # The earliest submitted pending job is the one the
                 # single worker was evaluating when it died.
                 culprit_seq = min(self._dead)
+                crashed = self._dead[culprit_seq]
             detected = time.perf_counter()
             # Exponential backoff with jitter before touching the pool; the
             # sleep also lets the burst of broken-future callbacks land so
             # one respawn covers all of them.
             delay = executor.restart_backoff * (2 ** min(self.restarts, 6))
             delay = min(delay + random.uniform(0.0, delay / 2.0), 5.0)
-            time.sleep(delay)
+            # Meanwhile the replacement worker forks and compiles the dead
+            # job's queries (unless the breaker is about to trip); it gets
+            # no document before the backoff ends.
+            spare = None
+            if self.restarts < executor.max_worker_restarts:
+                spare = self._spawn(self.epoch + 1)
+                spare.submit(_worker_prepare, crashed.query_specs, crashed.engine)
+            time.sleep(max(0.0, detected + delay - time.perf_counter()))
             with self._lock:
                 if self._closed:
                     dead = list(self._dead.values())
@@ -572,11 +913,19 @@ class _ShardPool:
                     for job in dead:
                         self._jobs.pop(job.seq, None)
                         job.outer.cancel()
+                    if spare is not None:
+                        spare.shutdown(wait=False, cancel_futures=True)
                     return
                 dead = [self._dead[seq] for seq in sorted(self._dead)]
                 self._dead.clear()
             culprit = dead[0] if dead and dead[0].seq == culprit_seq else None
-            redispatch = list(dead)
+            # A batch is not attributed: its documents are re-submitted as
+            # their own jobs once the pool is back (or the breaker tripped),
+            # and a repeat crash then names the document.
+            batches = [job for job in dead if job.batch]
+            redispatch = [job for job in dead if not job.batch]
+            if culprit is not None and culprit.batch:
+                culprit = None
             if culprit is not None:
                 crashes = executor._note_crash(culprit.name)
                 if crashes >= QUARANTINE_AFTER:
@@ -590,11 +939,14 @@ class _ShardPool:
                     )
             if self.restarts >= executor.max_worker_restarts:
                 self._trip_breaker(redispatch)
+                for job in batches:
+                    self._fail_batch(job)
                 continue
             with self._lock:
                 old = self.pool
                 self.epoch += 1
-                self.pool = self._spawn()
+                self.warm = False
+                self.pool = spare
             old.shutdown(wait=False, cancel_futures=True)
             self.restarts += 1
             executor._record_restart(
@@ -606,6 +958,8 @@ class _ShardPool:
             )
             for job in redispatch:
                 self._submit_inner(job)
+            for job in batches:
+                self._fail_batch(job)
 
     def _trip_breaker(self, jobs: Sequence[_Job]) -> None:
         """Degrade the shard: evaluate in-parent instead of respawning."""
@@ -779,6 +1133,8 @@ class CorpusExecutor:
         #: Parent-side compiled-query cache for the degraded fallback path
         #: (specs arrive pre-serialised from the shard dispatch).
         self._spec_queries = PlanMemo()
+        #: The serial strategy's forest of resident documents.
+        self._forests = _ForestCache()
 
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -1062,18 +1418,25 @@ class CorpusExecutor:
             grouped.setdefault(str(shard_of.get(name, -1)), []).append(name)
         return grouped
 
-    def _retry_document(self, name: str, evaluate):
-        """Run ``evaluate`` under the per-document retry budget."""
+    def _retry_document(self, name: str, evaluate, failed: Optional[BaseException] = None):
+        """Run ``evaluate`` under the per-document retry budget.
+
+        ``failed`` is a first attempt that already failed elsewhere (in a
+        forest pass); it counts against the budget like any other.
+        """
         attempt = 0
         while True:
-            try:
-                return evaluate()
-            except Exception as error:  # noqa: BLE001 — budget decides
-                attempt += 1
-                if attempt > self.max_retries:
-                    raise
-                self._record_retry(type(error).__name__)
-                time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
+            if failed is None:
+                try:
+                    return evaluate()
+                except Exception as error:  # noqa: BLE001 — budget decides
+                    failed = error
+            attempt += 1
+            if attempt > self.max_retries:
+                raise failed
+            self._record_retry(type(failed).__name__)
+            time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
+            failed = None
 
     def _evaluate_in_parent(self, name: str, query_specs, engine: str):
         """Degraded-shard fallback: the worker's evaluation, in-process.
@@ -1226,32 +1589,52 @@ class CorpusExecutor:
     def _run_serial(
         self, names: Sequence[str], queries: Sequence[Query], engine: str
     ) -> Iterator[CorpusResult]:
+        # The documents resident when the pass starts answer together (one
+        # forest run per query); the rest load lazily as the consumer pulls.
+        together = _answer_resident(
+            self.store, names, queries, engine, self.metrics_registry, self.strategy,
+            site=self.strategy, forests=self._forests,
+        )
         for name in names:
-            document = self.store.get(name)
-            yield from self._answer_document(name, document, queries, engine)
+            if name in together:
+                document, outcome = together.pop(name)
+                yield from self._answer_document(name, document, queries, engine, outcome)
+            else:
+                yield from self._answer_document(name, self.store.get(name), queries, engine)
 
     def _answer_document(
-        self, name: str, document: Document, queries: Sequence[Query], engine: str
+        self,
+        name: str,
+        document: Document,
+        queries: Sequence[Query],
+        engine: str,
+        outcome=None,
     ) -> Iterator[CorpusResult]:
         """One document's results, under the retry budget and ``on_error``.
 
         Evaluation is buffered per document (not streamed per query) so a
         retry never re-yields a query the consumer already saw — the unit
-        of retry and the unit of failure are the same.
+        of retry and the unit of failure are the same.  ``outcome`` is the
+        document's first attempt when it already ran in a forest pass: its
+        payloads, or the exception that counts as a failed attempt.
         """
         try:
-            payload = self._retry_document(
-                name,
-                lambda: _evaluate_document(
-                    document,
-                    queries,
-                    engine,
-                    self.metrics_registry,
-                    self.strategy,
-                    site=self.strategy,
-                    key=name,
-                ),
-            )
+            if isinstance(outcome, list):
+                payload = outcome
+            else:
+                payload = self._retry_document(
+                    name,
+                    lambda: _evaluate_document(
+                        document,
+                        queries,
+                        engine,
+                        self.metrics_registry,
+                        self.strategy,
+                        site=self.strategy,
+                        key=name,
+                    ),
+                    failed=outcome,
+                )
         except Exception as error:  # noqa: BLE001 — on_error decides
             records = self._document_error_records(
                 name, [_query_spec(query) for query in queries], engine, error
@@ -1502,12 +1885,24 @@ class CorpusExecutor:
             # must not shut a pool down or remap shards mid-batch.
             with self._pool_lock:
                 with _trace.span("shard.dispatch", documents=len(names)):
+                    # One batch job per warm shard: its worker answers the
+                    # documents it holds resident in one forest pass.
+                    shards: dict[int, list[int]] = {}
                     for index, name in enumerate(names):
                         if name in self.quarantined:
                             futures[index] = self._quarantined_future(name)
+                        else:
+                            shards.setdefault(self._shard_of[name], []).append(index)
+                    for shard_index, indices in shards.items():
+                        shard = self._shard_pool(shard_index)
+                        if len(indices) == 1 or shard.degraded or not shard.warm:
+                            for index in indices:
+                                futures[index] = shard.submit(names[index], query_specs, engine)
                             continue
-                        shard = self._shard_pool(self._shard_of[name])
-                        futures[index] = shard.submit(name, query_specs, engine)
+                        batch = shard.submit_batch(
+                            [names[index] for index in indices], query_specs, engine
+                        )
+                        futures.update(zip(indices, batch))
 
             def unpack(index: int, payload) -> list[CorpusResult]:
                 name = names[index]

@@ -399,6 +399,20 @@ class DocumentStore:
                         self._evictions += 1
                 return document
 
+    def peek(self, name: str) -> Optional[Document]:
+        """Return the document if it is resident, else ``None``; never loads.
+
+        A resident document counts as a hit and becomes most recently used,
+        as with :meth:`get`.  The corpus executor asks this at the start of
+        a pass to find the documents that can share one forest run.
+        """
+        with self._lock:
+            document = self._resident.get(name)
+            if document is not None:
+                self._resident.move_to_end(name)
+                self._hits += 1
+            return document
+
     def _materialise(self, source: DocumentSource, token: Optional[int]) -> Document:
         """Build one document, preferring a columnar snapshot over the source.
 

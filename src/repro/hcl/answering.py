@@ -29,6 +29,17 @@ are those of the paper:
 ``extend_{t,X}`` is deferred: a variable a union side lacks is stored as
 :data:`ANY` ("every node") and expanded once, after the root's table is
 projected, so a union never multiplies its rows by ``|t|`` per start node.
+
+The same run answers a query on many documents at once when ``t`` is a
+:class:`repro.trees.forest.Forest`.  Wherever the paper projects the start
+column away, the table keeps the start node's *document root* instead
+(``0`` for a single tree), :data:`ANY` expands over the row's own document,
+and the root's rows are grouped by document and shifted back to each
+document's own node ids: :meth:`HclAnswerer.run_documents` returns one
+answer set per document.  Every axis step stays inside its document (see
+:mod:`repro.trees.axes`), so the forest's answers are exactly the
+per-document answers.  A single tree is a forest of one document and takes
+the same path.
 """
 
 from __future__ import annotations
@@ -38,7 +49,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import RestrictionViolation
-from repro.trees.axes import equijoin
+from repro.pplbin.ast import BExcept
+from repro.trees.axes import equijoin, tree_arrays
 from repro.trees.tree import Tree
 from repro.hcl.ast import HclExpr, HCompose
 from repro.hcl.binding import BinaryQueryOracle, setwise_oracle
@@ -84,6 +96,19 @@ def plan_for(formula: HclExpr, variables: Sequence[str]) -> Fig8Plan:
     return plan
 
 
+def forest_safe(plan: Fig8Plan) -> bool:
+    """Whether ``plan`` may run over a forest: no leaf holds an ``except``.
+
+    An ``except`` is answered from its Theorem 2 relation, which is
+    quadratic in the node count, so over a forest it would cost ``n²`` in
+    the whole corpus rather than in each document.
+    """
+    return not any(
+        opcode == LEAF and any(isinstance(sub, BExcept) for sub in first.walk())
+        for opcode, first, _ in plan.instructions
+    )
+
+
 #: Table entry standing for "any node": a variable a union side lacks.
 ANY = -1
 
@@ -100,8 +125,12 @@ def _distinct(rows: np.ndarray, size: int) -> np.ndarray:
         keys = rows[:, 0] + 1
         for column in range(1, width):
             keys = keys * base + (rows[:, column] + 1)
-        _, first = np.unique(keys, return_index=True)
-        return rows[first]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.empty(count, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        return rows[order[first]]
     return np.unique(rows, axis=0)
 
 
@@ -112,8 +141,12 @@ def _extend(rows: np.ndarray, missing: int) -> np.ndarray:
     return np.concatenate([rows, np.full((len(rows), missing), ANY, dtype=rows.dtype)], axis=1)
 
 
-def _expand(rows: np.ndarray, size: int) -> np.ndarray:
-    """Replace every ANY entry by each node in turn (rows grouped by pattern)."""
+def _expand(rows: np.ndarray, ends: np.ndarray, size: int) -> np.ndarray:
+    """Replace every ANY entry by each node of the row's document in turn.
+
+    Column 0 holds the row's document root ``r``; its nodes are
+    ``r .. ends[r]``.  Rows are grouped by which columns are ANY.
+    """
     wild = rows == ANY
     if not wild.any():
         return rows
@@ -125,9 +158,17 @@ def _expand(rows: np.ndarray, size: int) -> np.ndarray:
         if not columns.size:
             parts.append(group)
             continue
-        grid = np.indices((size,) * columns.size, dtype=np.int64).reshape(columns.size, -1).T
-        expanded = np.repeat(group, len(grid), axis=0)
-        expanded[:, columns] = np.tile(grid, (len(group), 1))
+        low = group[:, 0]
+        width = ends[low] - low + 1
+        counts = width**columns.size
+        expanded = np.repeat(group, counts, axis=0)
+        # Each row's copies count 0 .. width**k - 1 in base ``width``; the
+        # digits, last column least significant, are the nodes filled in.
+        rank = np.arange(len(expanded)) - np.repeat(np.cumsum(counts) - counts, counts)
+        width, low = np.repeat(width, counts), np.repeat(low, counts)
+        for column in columns[::-1]:
+            expanded[:, column] = low + rank % width
+            rank //= width
         parts.append(expanded)
     return _distinct(np.concatenate(parts), size)
 
@@ -154,6 +195,12 @@ class HclAnswerer:
         """
         return self.run(plan_for(formula, variables))
 
+    def answer_documents(
+        self, formula: HclExpr, variables: Sequence[str]
+    ) -> list[frozenset[tuple[int, ...]]]:
+        """Return one answer set per document of a forest, in forest order."""
+        return self.run_documents(plan_for(formula, variables))
+
     def answer_shared(
         self,
         shared: SharedExpr,
@@ -171,7 +218,16 @@ class HclAnswerer:
     # ------------------------------------------------------------------ core
     def run(self, plan: Fig8Plan) -> frozenset[tuple[int, ...]]:
         """Answer a compiled plan on this tree."""
+        return self.run_documents(plan)[0]
+
+    def run_documents(self, plan: Fig8Plan) -> list[frozenset[tuple[int, ...]]]:
+        """Answer a compiled plan on every document of this tree or forest.
+
+        Returns one answer set per document, in document order, each over
+        that document's own node ids (a plain tree is one document).
+        """
         size = self.tree.size
+        root = tree_arrays(self.tree).root
         table = MCTable(self.tree, plan, None, self._setwise)
         demand, pairs, reached = self._demand(plan, table)
         instructions, domains, layouts = plan.instructions, plan.domains, plan.layouts
@@ -192,7 +248,7 @@ class HclAnswerer:
             projected = plan.projected[position]
             if opcode == SELF:
                 starts = np.flatnonzero(wanted)
-                tables.append((starts[:1] * 0 if projected else starts)[:, None])
+                tables.append((np.unique(root[starts]) if projected else starts)[:, None])
                 continue
             if opcode == VAR:
                 found = rows(second, wanted)
@@ -232,15 +288,31 @@ class HclAnswerer:
                 ]
                 found = _distinct(np.concatenate(parts), size)
             if projected:
+                # Keep only the start node's document.
                 found = found.copy()
-                found[:, 0] = 0
+                found[:, 0] = root[found[:, 0]]
                 found = _distinct(found, size)
             tables.append(found)
+        return self._by_document(plan, tables[plan.root])
 
+    def _by_document(
+        self, plan: Fig8Plan, rows: np.ndarray
+    ) -> list[frozenset[tuple[int, ...]]]:
+        """Split the root's rows (document root first) into per-document sets."""
+        arrays = tree_arrays(self.tree)
         missing, layout = plan.final
-        valuations = _extend(_distinct(tables[plan.root][:, 1:], size), missing)
-        answers = _expand(valuations, size)[:, layout]
-        return frozenset(map(tuple, answers.tolist()))
+        size = self.tree.size
+        rows = _expand(_extend(_distinct(rows, size), missing), arrays.end, size)
+        roots = arrays.roots
+        if roots.size > 1:
+            rows = rows[np.argsort(rows[:, 0], kind="stable")]
+        owner = rows[:, 0]
+        local = (rows[:, 1:][:, layout] - owner[:, None]).tolist()
+        bounds = np.append(np.searchsorted(owner, roots), len(local)).tolist()
+        return [
+            frozenset(map(tuple, local[low:high]))
+            for low, high in zip(bounds, bounds[1:])
+        ]
 
     def _demand(self, plan: Fig8Plan, table: MCTable) -> tuple[list, dict, dict]:
         """Top-down pass: each instruction's start nodes, and what leaves reach.

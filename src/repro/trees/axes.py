@@ -24,7 +24,7 @@ Three access paths are offered:
 from __future__ import annotations
 
 import enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -240,7 +240,8 @@ def label_vector(tree: Tree, label: str | None) -> np.ndarray:
     name tests does not grow the cache.
     """
     cache = tree.matrix_cache()
-    absent = label is not None and not tree.nodes_with_label(label)
+    nodes = () if label is None else tree.nodes_with_label(label)
+    absent = label is not None and not len(nodes)
     key = ("label-absent",) if absent else ("label", label)
     cached = cache.get(key)
     if cached is not None:
@@ -249,7 +250,7 @@ def label_vector(tree: Tree, label: str | None) -> np.ndarray:
         vector = np.ones(tree.size, dtype=bool)
     else:
         vector = np.zeros(tree.size, dtype=bool)
-        vector[list(tree.nodes_with_label(label))] = True
+        vector[np.asarray(nodes, dtype=np.int64)] = True
     vector.setflags(write=False)
     cache[key] = vector
     return vector
@@ -260,12 +261,17 @@ class TreeArrays:
     """The tree's structure as int64 numpy columns (``-1`` = no such node).
 
     ``parent``, ``end`` (``subtree_end``), ``first_child``, ``next_sibling``
-    and ``prev_sibling`` are indexed by node.  Every axis step of
+    and ``prev_sibling`` are indexed by node, and ``root`` holds each
+    node's document root: all 0 for one tree, the document's first node in
+    a :class:`repro.trees.forest.Forest`; ``roots`` lists the document
+    roots in order.  Every axis step of
     :func:`axis_preimage` and :func:`axis_edges` is a handful of O(|t|)
     vector operations over them (the Section 4 set-at-a-time evaluation).
     """
 
-    __slots__ = ("parent", "end", "first_child", "next_sibling", "prev_sibling", "nodes")
+    __slots__ = (
+        "parent", "end", "first_child", "next_sibling", "prev_sibling", "nodes", "root", "roots",
+    )
 
     def __init__(self, tree: Tree) -> None:
         def column(values) -> np.ndarray:
@@ -277,6 +283,32 @@ class TreeArrays:
         self.next_sibling = column(tree.next_sibling)
         self.prev_sibling = column(tree.prev_sibling)
         self.nodes = np.arange(tree.size, dtype=np.int64)
+        self.root = np.zeros(tree.size, dtype=np.int64)
+        self.roots = np.zeros(1, dtype=np.int64)
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["TreeArrays"]) -> "TreeArrays":
+        """The columns of several documents, each shifted by its offset.
+
+        Document roots keep ``parent == -1`` and no sibling links, so every
+        link-following axis stops at a document boundary by itself.
+        """
+        sizes = [part.nodes.size for part in parts]
+        offsets = np.cumsum([0] + sizes[:-1])
+        arrays = cls.__new__(cls)
+
+        def shifted(name: str) -> np.ndarray:
+            columns = []
+            for part, offset in zip(parts, offsets):
+                column = getattr(part, name)
+                columns.append(np.where(column >= 0, column + offset, -1))
+            return np.concatenate(columns)
+
+        for name in ("parent", "end", "first_child", "next_sibling", "prev_sibling", "root"):
+            setattr(arrays, name, shifted(name))
+        arrays.nodes = np.arange(sum(sizes), dtype=np.int64)
+        arrays.roots = np.concatenate([part.roots + offset for part, offset in zip(parts, offsets)])
+        return arrays
 
     @property
     def nbytes(self) -> int:
@@ -304,9 +336,10 @@ def axis_preimage(tree: Tree, axis: Axis, targets: np.ndarray) -> np.ndarray:
     ``targets`` is a Boolean vector over the nodes.  Each axis costs O(|t|)
     vector work over :class:`TreeArrays`: descendant counts targets in the
     preorder interval ``(u, end[u]]`` with a prefix sum, ancestor marks the
-    target intervals with a difference array, ``following`` is
-    ``end[u] < max(targets)`` and ``preceding`` is
-    ``u > min(end[targets])``.
+    target intervals with a difference array.  ``following`` and
+    ``preceding`` stay inside u's document ``[root[u], end[root[u]]]``:
+    ``following`` counts targets in ``(end[u], end[root[u]]]`` and
+    ``preceding`` counts targets ``v`` with ``root[u] <= end[v] < u``.
     """
     a = tree_arrays(tree)
     size = tree.size
@@ -347,9 +380,14 @@ def axis_preimage(tree: Tree, axis: Axis, targets: np.ndarray) -> np.ndarray:
         np.minimum.at(bound, parents, hits)
         return a.nodes > bound[a.parent]
     if axis is Axis.FOLLOWING:
-        return a.end < hits[-1]
+        counts = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(targets, out=counts[1:])
+        return counts[a.end[a.root] + 1] > counts[a.end + 1]
     if axis is Axis.PRECEDING:
-        return a.nodes > a.end[hits].min()
+        # closed[i]: targets whose subtree ends before node i.
+        closed = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(a.end[hits], minlength=size), out=closed[1:])
+        return closed[a.nodes] > closed[a.root]
     if axis is Axis.FIRST_CHILD:
         return _linked(a.first_child, targets)
     if axis is Axis.NEXT_SIBLING:
@@ -407,7 +445,9 @@ def axis_edges(
     ``(us, vs)`` listing every ``(u, v)`` with ``u`` in ``sources``, ``v``
     in ``targets`` and ``axis(u, v)``, each pair once.  The cost is
     O(|t| log |t|) plus the output: interval axes are range lookups in the
-    sorted targets, ancestor walks parent links level by level.
+    sorted targets, ancestor walks parent links level by level.  Following
+    and preceding are clipped to the source's document, as in
+    :func:`axis_preimage`.
     """
     a = tree_arrays(tree)
     size = tree.size
@@ -474,10 +514,14 @@ def axis_edges(
         return range_pairs(starts, low, high, ends[inner][order])
     if axis is Axis.FOLLOWING:
         low = np.searchsorted(ends, a.end[starts] + 1)
-        return range_pairs(starts, low, np.full(starts.size, ends.size), ends)
+        high = np.searchsorted(ends, a.end[a.root[starts]] + 1)
+        return range_pairs(starts, low, high, ends)
     if axis is Axis.PRECEDING:
+        # v precedes u in u's document iff root[u] <= end[v] < u.
         order = np.argsort(a.end[ends], kind="stable")
-        high = np.searchsorted(a.end[ends][order], starts)
-        return range_pairs(starts, np.zeros(starts.size, dtype=np.int64), high, ends[order])
+        closing = a.end[ends][order]
+        low = np.searchsorted(closing, a.root[starts])
+        high = np.searchsorted(closing, starts)
+        return range_pairs(starts, low, high, ends[order])
     raise TreeError(f"unsupported axis {axis!r}")  # pragma: no cover - exhaustive enum
 

@@ -1,4 +1,4 @@
-"""E10 — corpus serving: serial vs threads vs sharded processes.
+"""E10 — corpus serving: serial vs sharded processes.
 
 The scenario is memory-bounded corpus serving, the regime the
 :mod:`repro.corpus` subsystem is built for: a corpus of ``N`` documents
@@ -6,7 +6,7 @@ whose materialised form (tree + Theorem 2 oracle matrices + memoised
 answers) does not fit one process's resident budget, queried by repeated
 batches — ``ROUNDS`` rounds of ``QUERIES`` under each engine.
 
-* ``serial`` and ``threads`` share one :class:`DocumentStore` bounded at
+* ``serial`` runs over one :class:`DocumentStore` bounded at
   ``MAX_RESIDENT`` documents.  A sequential sweep over ``N > MAX_RESIDENT``
   documents is the LRU worst case: every round reloads, rebuilds and
   re-answers every document.
@@ -17,8 +17,8 @@ batches — ``ROUNDS`` rounds of ``QUERIES`` under each engine.
   served from the per-worker caches.
 
 The headline numbers are the per-strategy wall-clocks and the
-``processes``-vs-``serial`` speedup; the agreement section proves that all
-three strategies returned byte-identical answer sets for every
+``processes``-vs-``serial`` speedup; the agreement section proves that
+both strategies returned byte-identical answer sets for every
 (query, engine) pair.  On a single-core host the speedup comes entirely
 from cache retention across rounds (cold work is paid once instead of every
 round); on a multi-core host the first cold round additionally parallelises
@@ -62,7 +62,7 @@ QUERIES = [
     ),
 ]
 ENGINES = ("polynomial", "yannakakis")
-STRATEGIES = ("serial", "threads", "processes")
+STRATEGIES = ("serial", "processes")
 
 #: Full-scale scenario (standalone run).
 NUM_DOCUMENTS = 64

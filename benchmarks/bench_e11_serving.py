@@ -124,7 +124,7 @@ async def _serve_startup(directory, cache_dir, queries, engine) -> dict:
     results = {}
     async with Session(
         engine=engine,
-        strategy="threads",
+        strategy="serial",
         plan_cache=cache_dir,
         serving=ServingPolicy(max_concurrent=1),
     ) as session:
@@ -199,7 +199,7 @@ async def _serve_throughput(directory, cache_dir, queries, concurrency) -> dict:
     """Concurrent clients: one submission per query, drained concurrently."""
     results = {}
     async with Session(
-        strategy="threads",
+        strategy="serial",
         plan_cache=cache_dir,
         serving=ServingPolicy(max_concurrent=concurrency, max_queue=4096),
     ) as session:

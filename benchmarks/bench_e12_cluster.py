@@ -173,7 +173,7 @@ def run_cluster_leg(
         control_interval=0.25,
         serving=ServingPolicy(max_queue=4096),
         plan_cache_dir=plan_cache_dir,
-        strategy="threads",
+        strategy="serial",
     ) as supervisor:
         # Warmup round: every member compiles/loads its plans before the
         # measured pass, so the legs compare serving, not cold compilation.
@@ -217,7 +217,7 @@ def run_chaos_leg(corpus_dir: str, plan_cache_dir: str, queries) -> dict:
             control_interval=0.2,
             serving=ServingPolicy(max_queue=4096),
             plan_cache_dir=plan_cache_dir,
-            strategy="threads",
+            strategy="serial",
         ) as supervisor:
             expected = None
             rounds = []

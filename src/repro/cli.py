@@ -58,7 +58,7 @@ Subcommands
         all return identical answers, and write a JSON comparison::
 
             repro-xpath corpus bench --dir corpus/ --query "..." --vars y,z \
-                --strategies serial,threads,processes --out BENCH_corpus.json
+                --strategies serial,processes --out BENCH_corpus.json
 
 ``serve``
     Async serving commands backed by :mod:`repro.serve`:
@@ -68,7 +68,7 @@ Subcommands
         protocol, optionally with a persistent compiled-plan cache::
 
             repro-xpath serve run --dir corpus/ --port 8723 \
-                --strategy threads --plan-cache /var/cache/repro-plans
+                --strategy processes --plan-cache /var/cache/repro-plans
 
     ``serve query`` / ``serve stats``
         Thin NDJSON clients: submit one query (streaming one
@@ -103,6 +103,7 @@ from repro.api import (
     check_capabilities,
     get_engine,
 )
+from repro.corpus import STRATEGIES
 from repro.session import ExecutionPolicy, ServingPolicy, Session
 
 SUBCOMMANDS = (
@@ -198,6 +199,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     corpus_sub = corpus.add_subparsers(dest="corpus_command", required=True)
 
+    # Session knobs default to None so the Session resolves them: explicit
+    # flag > REPRO_* environment > built-in default.
+    engine_help = f"registry engine (default: REPRO_ENGINE, else {DEFAULT_ENGINE})"
+    workers_help = (
+        "shard count of the processes strategy "
+        "(default: REPRO_MAX_WORKERS, else automatic)"
+    )
+
+    def add_session_options(subparser: argparse.ArgumentParser) -> None:
+        subparser.add_argument("--engine", default=None, help=engine_help)
+        subparser.add_argument(
+            "--strategy",
+            default=None,
+            choices=STRATEGIES,
+            help="corpus execution strategy (default: REPRO_STRATEGY, else serial)",
+        )
+        subparser.add_argument("--workers", type=int, default=None, help=workers_help)
+
     def add_store_options(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument(
             "--dir", required=True, help="directory holding the corpus XML files"
@@ -235,18 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_store_options(corpus_answer)
     corpus_answer.add_argument("--query", required=True, help="the Core XPath 2.0 expression")
     corpus_answer.add_argument("--vars", default="", help="comma-separated output variables")
-    corpus_answer.add_argument(
-        "--engine", default=DEFAULT_ENGINE, help=f"registry engine (default {DEFAULT_ENGINE})"
-    )
-    corpus_answer.add_argument(
-        "--strategy",
-        default="serial",
-        choices=("serial", "threads", "processes"),
-        help="execution strategy (default serial)",
-    )
-    corpus_answer.add_argument(
-        "--workers", type=int, default=None, help="thread-pool width / process shard count"
-    )
+    add_session_options(corpus_answer)
     corpus_answer.add_argument(
         "--docs", default="", help="comma-separated document names (default: all)"
     )
@@ -265,20 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_store_options(corpus_bench)
     corpus_bench.add_argument("--query", required=True, help="the Core XPath 2.0 expression")
     corpus_bench.add_argument("--vars", default="", help="comma-separated output variables")
-    corpus_bench.add_argument(
-        "--engine", default=DEFAULT_ENGINE, help=f"registry engine (default {DEFAULT_ENGINE})"
-    )
+    corpus_bench.add_argument("--engine", default=None, help=engine_help)
     corpus_bench.add_argument(
         "--strategies",
-        default="serial,threads,processes",
-        help="comma-separated strategies to time (default all three)",
+        default=",".join(STRATEGIES),
+        help="comma-separated strategies to time (default all)",
     )
     corpus_bench.add_argument(
         "--rounds", type=int, default=1, help="query batches per strategy (default 1)"
     )
-    corpus_bench.add_argument(
-        "--workers", type=int, default=None, help="thread-pool width / process shard count"
-    )
+    corpus_bench.add_argument("--workers", type=int, default=None, help=workers_help)
     corpus_bench.add_argument(
         "--out", default=None, help="write the JSON comparison to this path as well"
     )
@@ -328,18 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_run.add_argument(
         "--port", type=int, default=8723, help="TCP port (0 = kernel-assigned)"
     )
-    serve_run.add_argument(
-        "--strategy",
-        default="threads",
-        choices=("serial", "threads", "processes"),
-        help="executor strategy behind the server (default threads)",
-    )
-    serve_run.add_argument(
-        "--workers", type=int, default=None, help="thread-pool width / process shard count"
-    )
-    serve_run.add_argument(
-        "--engine", default=DEFAULT_ENGINE, help=f"registry engine (default {DEFAULT_ENGINE})"
-    )
+    add_session_options(serve_run)
     serve_run.add_argument(
         "--plan-cache", default=None, help="directory of the persistent compiled-plan cache"
     )
@@ -467,18 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=4,
         help="max load-smoothing document moves per placement re-plan (default 4)",
     )
-    cluster_run.add_argument(
-        "--strategy",
-        default=None,
-        choices=("serial", "threads", "processes"),
-        help="executor strategy inside each member (default threads)",
-    )
-    cluster_run.add_argument(
-        "--workers", type=int, default=None, help="per-member worker-pool width"
-    )
-    cluster_run.add_argument(
-        "--engine", default=None, help=f"registry engine (default {DEFAULT_ENGINE})"
-    )
+    add_session_options(cluster_run)
     cluster_run.add_argument(
         "--plan-cache",
         default=None,
@@ -874,11 +856,12 @@ def _run_corpus_answer(args) -> int:
 
 def _run_corpus_snapshot_build(args) -> int:
     """Materialise every corpus document once, writing its snapshot."""
-    snapshot_dir = args.snapshot_dir or os.environ.get("REPRO_SNAPSHOT_DIR")
+    # The session's own resolver (flag > REPRO_SNAPSHOT_DIR), checked before
+    # the session reads the corpus directory.
+    snapshot_dir = ExecutionPolicy().resolved("snapshot_dir", args.snapshot_dir)
     if snapshot_dir is None:
         print("error: corpus snapshot build requires --snapshot-dir", file=sys.stderr)
         return 1
-    args.snapshot_dir = snapshot_dir
     with _corpus_session(args) as session:
         documents = []
         for name in session.store.names():
@@ -886,7 +869,7 @@ def _run_corpus_snapshot_build(args) -> int:
             documents.append({"name": name, "nodes": document.size})
         payload = {
             "directory": args.dir,
-            "snapshot_dir": args.snapshot_dir,
+            "snapshot_dir": snapshot_dir,
             "documents": len(documents),
             "total_nodes": sum(entry["nodes"] for entry in documents),
             "snapshot": session.store.snapshot_stats(),
@@ -959,6 +942,7 @@ def _run_corpus_bench(args) -> int:
             # fold their counters in so the strategies stay comparable.
             worker_stats = session.worker_stats()
             stats = session.store.stats
+            engine = session.execution.resolved("engine")
         wall = time.perf_counter() - started
         runs.append(
             {
@@ -978,7 +962,7 @@ def _run_corpus_bench(args) -> int:
         "directory": args.dir,
         "query": args.query,
         "variables": variables,
-        "engine": args.engine,
+        "engine": engine,
         "rounds": rounds,
         "strategies": runs,
         "agreement": agreement,
@@ -1057,7 +1041,8 @@ def _run_serve_run(args) -> int:
                 kernel_name = kernel_name.name
             print(
                 f"serving {len(session.store)} documents on {args.host}:{port} "
-                f"(strategy={args.strategy}, engine={args.engine}, "
+                f"(strategy={session.execution.resolved('strategy')}, "
+                f"engine={session.execution.resolved('engine')}, "
                 f"kernel={kernel_name})",
                 file=sys.stderr,
                 flush=True,

@@ -15,7 +15,7 @@ package scales it across processes without sharing any mutable state::
               └──────────────┼──────────────┘
                      ┌───────┴────────┐
                      │ ClusterSupervisor │  place / tune / scrape /
-                     │  + /cluster.json  │  respawn (sync, threads)
+                     │  + /cluster.json  │  respawn (synchronous)
                      └──────────────────┘
 
 Every member owns a full :class:`repro.session.Session` over the same

@@ -1,7 +1,7 @@
 """Parallel corpus query execution with streaming results.
 
 The :class:`CorpusExecutor` runs one or many compiled queries across the
-documents of a :class:`repro.corpus.store.DocumentStore` under one of three
+documents of a :class:`repro.corpus.store.DocumentStore` under one of two
 strategies:
 
 ``"serial"``
@@ -9,11 +9,6 @@ strategies:
     already resident answer together when the pass starts; every other
     document is materialised only when the consumer pulls its results, so
     a bounded store never holds more than its cap plus one.
-
-``"threads"``
-    A ``ThreadPoolExecutor`` sharing the store (which is thread-safe).  Most
-    useful when query evaluation spends its time in numpy — the boolean
-    matrix products release the GIL.
 
 ``"processes"``
     Documents are sharded across *dedicated* single-worker process pools —
@@ -40,7 +35,7 @@ the parent does it over the store's resident set.  A (document, query) pair take
 per-document path instead when the document is not resident (the forest
 never forces a load), when its answer is cached or spilled, when the plan
 has an ``except`` leaf (the Theorem 2 relation would be quadratic in the
-whole forest), or when the engine is not ``polynomial``.  ``"threads"``,
+whole forest), or when the engine is not ``polynomial``.
 ``submit_document`` and the degraded fallback stay one document per task.
 Everything per document stays: one :class:`CorpusResult` and
 :class:`repro.api.QueryReport` per pair, answer-cache entries under the
@@ -107,7 +102,7 @@ from repro.obs import trace as _trace
 from repro.obs.metrics import MetricsRegistry
 from repro.trees.forest import Forest
 
-STRATEGIES = ("serial", "threads", "processes")
+STRATEGIES = ("serial", "processes")
 
 #: ``on_error`` dispositions for a document whose failure is final.
 ON_ERROR_MODES = ("raise", "record", "skip")
@@ -369,10 +364,10 @@ def _evaluate_documents(
 ) -> list:
     """Answer every query on several resident documents, wherever they live.
 
-    The one evaluation loop shared by the shard workers, the serial and
-    threads strategies, and the degraded in-parent fallback — identical
-    code on every path is what makes "byte-identical answers across
-    strategies" a structural property rather than a test assertion.
+    The one evaluation loop shared by the shard workers, the serial
+    strategy and the degraded in-parent fallback — identical code on every
+    path is what makes "byte-identical answers across strategies" a
+    structural property rather than a test assertion.
 
     Returns one outcome per entry: the document's list of
     ``(text, variables, answers, report, seconds)`` payloads, one per query,
@@ -1016,9 +1011,9 @@ class CorpusExecutor:
         The corpus.  For ``"processes"`` every registered document must have
         a picklable source spec (always true: trees are serialised to XML).
     strategy:
-        ``"serial"`` (default), ``"threads"`` or ``"processes"``.
+        ``"serial"`` (default) or ``"processes"``.
     max_workers:
-        Thread-pool width, or the number of shards for ``"processes"``.
+        The number of shards for ``"processes"`` (ignored by ``"serial"``).
         An explicit value is honoured exactly (capped at the corpus size);
         the default is ``os.cpu_count()``, raised to at least 2 shards so
         sharding is observable even on one-core machines.
@@ -1070,8 +1065,8 @@ class CorpusExecutor:
         #: Kernel pinned for shard workers (name/instance or None).  Falls
         #: back to the store's pinned kernel; ``None`` leaves workers on the
         #: process default (which honours ``REPRO_KERNEL``).  For the
-        #: serial/threads strategies the store's own kernel governs, since
-        #: documents materialise in the parent store.
+        #: serial strategy the store's own kernel governs, since documents
+        #: materialise in the parent store.
         self.kernel = kernel if kernel is not None else store.kernel
         #: Shard pools, created lazily per shard on first submit (None =
         #: partition slot whose pool has not been needed yet).
@@ -1086,16 +1081,16 @@ class CorpusExecutor:
         #: kept versus shut down (see :meth:`_ensure_partition`).
         self.pools_kept = 0
         self.pools_rebuilt = 0
-        #: Lazy thread pool backing :meth:`submit_document` for the serial
-        #: and threads strategies (processes submit straight to shard pools).
+        #: Lazy single-thread pool backing :meth:`submit_document` for the
+        #: serial strategy (processes submit straight to shard pools).
         self._dispatch_pool: Optional[ThreadPoolExecutor] = None
         #: Serialises pool lifecycle (partitioning, spawning, shutdown):
         #: ``submit_document`` may be called from several threads at once
         #: (the server offloads it from the event loop).
         self._pool_lock = threading.RLock()
         #: Parent-side metrics: per-(document, query) evaluation histograms
-        #: and cost counters for the serial/threads strategies, labelled by
-        #: (engine, strategy).  The processes strategy observes inside shard
+        #: and cost counters for the serial strategy, labelled by (engine,
+        #: strategy).  The processes strategy observes inside shard
         #: workers; :meth:`metrics` merges both.
         self.metrics_registry = MetricsRegistry()
         # ------------------------------------------------- fault tolerance
@@ -1192,8 +1187,6 @@ class CorpusExecutor:
                 raise CorpusError(f"unknown document {name!r}")
         if self.strategy == "serial":
             return self._run_serial(names, compiled, engine_name)
-        if self.strategy == "threads":
-            return self._run_threads(names, compiled, engine_name, ordered)
         return self._run_processes(names, compiled, engine_name, ordered)
 
     def submit_document(
@@ -1215,8 +1208,7 @@ class CorpusExecutor:
 
         Under ``"processes"`` the work goes straight to the document's shard
         pool (per-worker caches apply as in :meth:`run`); under ``"serial"``
-        and ``"threads"`` it runs on an internal dispatch thread pool of
-        width 1 or ``max_workers`` respectively.
+        it runs on an internal dispatch thread.
         """
         engine_name = engine if engine is not None else self.engine
         compiled = self._normalise_queries(queries)
@@ -1296,15 +1288,11 @@ class CorpusExecutor:
         )
 
     def _dispatch(self) -> ThreadPoolExecutor:
-        """The internal thread pool behind ``submit_document`` (lazy)."""
+        """The one-thread pool behind ``submit_document`` (lazy)."""
         with self._pool_lock:
             if self._dispatch_pool is None:
-                if self.strategy == "serial":
-                    width = 1
-                else:
-                    width = self.max_workers or min(8, (os.cpu_count() or 1) + 2)
                 self._dispatch_pool = ThreadPoolExecutor(
-                    max_workers=width, thread_name_prefix="corpus-dispatch"
+                    max_workers=1, thread_name_prefix="corpus-dispatch"
                 )
             return self._dispatch_pool
 
@@ -1512,8 +1500,8 @@ class CorpusExecutor:
     def answer_cache_stats(self) -> Optional[dict]:
         """Aggregate answer-cache counters, wherever the caches live.
 
-        For ``"serial"``/``"threads"`` this is the parent store's shared
-        cache; for ``"processes"`` it sums over the live shard workers'
+        For ``"serial"`` this is the parent store's shared cache; for
+        ``"processes"`` it sums over the live shard workers'
         caches (the parent cache sees no traffic there).  Returns ``None``
         when answer caching is disabled.
         """
@@ -1652,24 +1640,6 @@ class CorpusExecutor:
                 answers=answers,
                 seconds=elapsed,
             )
-
-    # ----------------------------------------------------------------- threads
-    def _run_threads(
-        self, names: Sequence[str], queries: Sequence[Query], engine: str, ordered: bool
-    ) -> Iterator[CorpusResult]:
-        width = self.max_workers or min(8, (os.cpu_count() or 1) + 2)
-
-        def answer_one(name: str) -> list[CorpusResult]:
-            document = self.store.get(name)
-            return list(self._answer_document(name, document, queries, engine))
-
-        def generate() -> Iterator[CorpusResult]:
-            with ThreadPoolExecutor(max_workers=width) as pool:
-                futures = {index: pool.submit(answer_one, name)
-                           for index, name in enumerate(names)}
-                yield from _stream(futures, ordered)
-
-        return generate()
 
     # --------------------------------------------------------------- processes
     def _shard_count(self, total: int) -> int:
@@ -1841,8 +1811,8 @@ class CorpusExecutor:
     def snapshot_stats(self) -> Optional[dict]:
         """Aggregate snapshot-store counters, wherever the stores live.
 
-        Mirrors :meth:`answer_cache_stats`: for ``"serial"``/``"threads"``
-        the parent store's snapshot store sees all the traffic; for
+        Mirrors :meth:`answer_cache_stats`: for ``"serial"`` the parent
+        store's snapshot store sees all the traffic; for
         ``"processes"`` the per-worker stores do, so their counters are
         summed (the sizing fields — bytes/files/budget — describe the one
         shared directory and are taken from the last worker rather than

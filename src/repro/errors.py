@@ -194,8 +194,8 @@ class WorkerCrashError(FaultInjectedError):
     """An injected ``worker_crash`` tripped outside a sacrificial process.
 
     Inside a shard worker the harness exits the process (a real worker
-    death, exercising supervision); in the parent — serial and threads
-    strategies — it raises this instead, exercising the retry path.
+    death, exercising supervision); in the parent (the serial strategy)
+    it raises this instead, exercising the retry path.
     """
 
 

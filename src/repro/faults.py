@@ -15,7 +15,7 @@ Fault points
     Simulated worker death.  Inside a shard worker process (the harness is
     told via :func:`mark_worker`) the process exits immediately with
     :data:`KILL_EXIT_CODE` — a *real* ``BrokenProcessPool`` for the
-    supervisor to handle.  In the parent (serial/threads strategies) it
+    supervisor to handle.  In the parent (the serial strategy) it
     raises :class:`repro.errors.WorkerCrashError`, exercising the retry
     path instead.
 ``slow_query``
@@ -46,9 +46,9 @@ comma-separated ``field=value`` pairs::
     REPRO_FAULTS="worker_crash,match=doc003,epoch=0;slow_query,rate=0.01,seed=7,delay=0.02"
 
 Fields: ``match`` (fnmatch pattern on the key, default ``*``), ``site``
-(fnmatch on the call site: ``worker``, ``serial``, ``threads``,
-``degraded``, ``snapshot``, ``plan_cache``, ``compose``; default ``*``),
-``times`` (max firings per process, default unlimited), ``rate``
+(fnmatch on the call site: ``worker``, ``serial``, ``degraded``,
+``snapshot``, ``plan_cache``, ``compose``; default ``*``), ``times``
+(max firings per process, default unlimited), ``rate``
 (probability per matching hit, default 1.0), ``seed`` (RNG stream for the
 rate decisions), ``delay`` (sleep seconds for ``slow_query``), ``epoch``
 (only fire in the N-th incarnation of a shard worker — epoch 0 is the

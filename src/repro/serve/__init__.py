@@ -29,7 +29,7 @@ Request path
                                              │              (max_concurrent)
                                              ▼
                               CorpusExecutor.submit_document()
-                                 serial/threads → dispatch thread pool
+                                 serial         → one dispatch thread
                                  processes      → the document's shard pool
                                              │
                                  asyncio.wrap_future  (loop never blocks)

@@ -4,7 +4,7 @@ See the package docstring (:mod:`repro.serve`) for the architecture.  In
 short: :class:`CorpusServer` accepts concurrently-submitted query batches,
 expands each into per-document jobs, pushes the jobs through the blocking
 :class:`repro.corpus.CorpusExecutor` via its ``submit_document`` hook (the
-event loop never blocks — shard pools and dispatch threads do the work), and
+event loop never blocks — shard pools or the dispatch thread do the work), and
 streams per-document answers back through a bounded per-client queue.
 
 Flow control has three independent knobs:
@@ -246,9 +246,7 @@ class CorpusServer:
         The corpus to serve.
     strategy / max_workers / engine:
         Passed to the underlying :class:`repro.corpus.CorpusExecutor` (one
-        is built unless ``executor`` is given).  ``"threads"`` is the
-        default here — a serving loop wants submission-level parallelism
-        even when each document evaluates in pure Python.
+        is built unless ``executor`` is given).
     executor:
         An existing executor to serve from; it is closed by
         :meth:`aclose` only when the server created it itself.
@@ -298,7 +296,7 @@ class CorpusServer:
         self,
         store: DocumentStore,
         *,
-        strategy: str = "threads",
+        strategy: str = "serial",
         max_workers: Optional[int] = None,
         engine: str = DEFAULT_ENGINE,
         executor: Optional[CorpusExecutor] = None,
@@ -996,7 +994,7 @@ class CorpusServer:
         registry.merge(self.metrics_registry)
         # The executor's parent-side registry carries the labelled latency
         # and cost-counter series for work evaluated in this process
-        # (threads/serial strategies, and the parent's share otherwise).
+        # (the serial strategy, and the parent's share otherwise).
         # Deliberately NOT ``executor.metrics()``: that round-trips every
         # shard worker and would block the event loop mid-scrape.  Worker
         # series are reachable via ``Session.metrics()`` off the loop.

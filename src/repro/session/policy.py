@@ -187,10 +187,10 @@ class ExecutionPolicy:
         ``bitset`` / ``sparse`` / ``adaptive``); ``None`` means the process
         default (which itself honours ``REPRO_KERNEL``).
     strategy:
-        Corpus execution strategy (``serial`` / ``threads`` / ``processes``,
-        default ``serial``).
+        Corpus execution strategy (``serial`` / ``processes``, default
+        ``serial``).
     max_workers:
-        Thread-pool width or process shard count (``None`` = automatic).
+        Shard count of the ``processes`` strategy (``None`` = automatic).
     max_resident:
         LRU bound on concurrently materialised documents (``None`` =
         unbounded).

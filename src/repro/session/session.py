@@ -138,6 +138,8 @@ class Session:
     engine, kernel, strategy, max_workers, max_resident, cache_answers,
     answer_cache_bytes, matrix_cache_bytes, timeout:
         Explicit overrides folded *over* ``execution`` (explicit > policy).
+        ``strategy`` is ``"serial"`` or ``"processes"``; ``max_workers`` is
+        the shard count of ``"processes"``.
     max_retries, retry_backoff, on_error, max_worker_restarts, restart_backoff:
         Fault-tolerance overrides (retry budget and backoff for transient
         per-document failures, error-record/skip policy, and the supervised

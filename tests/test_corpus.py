@@ -149,7 +149,7 @@ class TestDocumentStore:
 
 # -------------------------------------------------------------- the executor
 class TestCorpusExecutor:
-    @pytest.mark.parametrize("strategy", ("serial", "threads", "processes"))
+    @pytest.mark.parametrize("strategy", ("serial", "processes"))
     @pytest.mark.parametrize(
         "engine,query,variables",
         [
@@ -170,7 +170,7 @@ class TestCorpusExecutor:
         assert all(r.report.engine == engine for r in results)
 
     def test_deterministic_ordering(self, store):
-        with CorpusExecutor(store, strategy="threads", max_workers=3) as executor:
+        with CorpusExecutor(store, strategy="processes", max_workers=3) as executor:
             ordered = [r.doc_name for r in executor.run((PAIR_QUERY, PAIR_VARS))]
         assert ordered == list(store.names())
 
@@ -264,7 +264,9 @@ class TestCorpusExecutor:
     def test_answer_corpus_helper(self, corpus_dir):
         store = DocumentStore.from_directory(corpus_dir)
         results = list(
-            answer_corpus(store, (PAIR_QUERY, PAIR_VARS), strategy="threads")
+            answer_corpus(
+                store, (PAIR_QUERY, PAIR_VARS), strategy="processes", max_workers=2
+            )
         )
         assert {r.doc_name: r.answers for r in results} == expected_answers(
             corpus_dir, PAIR_QUERY, PAIR_VARS
@@ -393,6 +395,37 @@ class TestCorpusCli:
         reference = expected_answers(corpus_dir, PAIR_QUERY, PAIR_VARS)
         assert payload["total_answers"] == sum(len(a) for a in reference.values())
 
+    def test_answer_env_applies_without_flags(self, corpus_dir, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_STRATEGY", "processes")
+        monkeypatch.setenv("REPRO_ENGINE", "naive")
+        base = ["corpus", "answer", "--dir", str(corpus_dir), "--query", PAIR_QUERY,
+                "--vars", "y,z", "--json", "--workers", "2"]
+        assert cli.main(base) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["strategy"], payload["engine"]) == ("processes", "naive")
+        # An explicit flag still beats the environment.
+        assert cli.main(base + ["--strategy", "serial", "--engine", "polynomial"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["strategy"], payload["engine"]) == ("serial", "polynomial")
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["corpus", "answer", "--query", PAIR_QUERY],
+            ["corpus", "bench", "--query", PAIR_QUERY],
+            ["serve", "run"],
+            ["serve", "cluster", "run"],
+        ),
+    )
+    def test_session_flags_default_to_none(self, argv):
+        # argparse defaults would count as explicit values and shadow the
+        # REPRO_* environment, so every Session-building subcommand leaves
+        # them unset.
+        args = cli.build_parser().parse_args([*argv, "--dir", "corpus"])
+        assert args.engine is None
+        assert getattr(args, "strategy", None) is None
+        assert args.workers is None
+
     def test_bench_agreement_and_out_file(self, corpus_dir, capsys, tmp_path):
         out = tmp_path / "corpus_bench.json"
         code = cli.main(
@@ -406,7 +439,7 @@ class TestCorpusCli:
                 "--vars",
                 "y,z",
                 "--strategies",
-                "serial,threads",
+                "serial,processes",
                 "--out",
                 str(out),
             ]
@@ -414,7 +447,10 @@ class TestCorpusCli:
         assert code == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed["agreement"] is True
-        assert {run["strategy"] for run in printed["strategies"]} == {"serial", "threads"}
+        assert {run["strategy"] for run in printed["strategies"]} == {
+            "serial",
+            "processes",
+        }
         assert json.loads(out.read_text()) == printed
 
     def test_answer_rejects_empty_corpus(self, tmp_path, capsys):

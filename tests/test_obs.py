@@ -254,13 +254,13 @@ class TestLabels:
     def test_get_or_create_per_label_set(self):
         registry = MetricsRegistry()
         serial = registry.counter("ops", "Ops", labels={"strategy": "serial"})
-        threads = registry.counter("ops", "Ops", labels={"strategy": "threads"})
-        assert serial is not threads
+        processes = registry.counter("ops", "Ops", labels={"strategy": "processes"})
+        assert serial is not processes
         assert registry.counter("ops", labels={"strategy": "serial"}) is serial
         serial.inc(2)
-        threads.inc(3)
+        processes.inc(3)
         assert registry.get("ops", {"strategy": "serial"}).value == 2
-        assert registry.get("ops", {"strategy": "threads"}).value == 3
+        assert registry.get("ops", {"strategy": "processes"}).value == 3
         assert registry.get("ops") is None  # the unlabelled series was never made
         assert len(registry.series("ops")) == 2
         assert registry.names() == ["ops"]

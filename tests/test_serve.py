@@ -555,7 +555,7 @@ class TestTargetedRefresh:
 # Executor submission hook
 # =====================================================================
 class TestSubmitDocument:
-    @pytest.mark.parametrize("strategy", ["serial", "threads"])
+    @pytest.mark.parametrize("strategy", ["serial"])
     def test_future_resolves_to_results(self, strategy):
         store = make_store(3)
         with CorpusExecutor(store, strategy=strategy) as executor:
@@ -1345,7 +1345,7 @@ class TestServeCli:
         args = build_parser().parse_args(
             [
                 "serve", "run", "--dir", "corpus", "--port", "0",
-                "--strategy", "threads", "--plan-cache", "plans",
+                "--strategy", "processes", "--plan-cache", "plans",
                 "--max-concurrent", "8", "--max-queue", "32",
             ]
         )

@@ -84,10 +84,10 @@ class TestPolicies:
 
     def test_override_returns_new_object_and_skips_unspecified(self):
         policy = ExecutionPolicy(engine="naive")
-        overridden = policy.override(engine=None, strategy="threads")
+        overridden = policy.override(engine=None, strategy="processes")
         assert overridden is not policy
         assert overridden.engine == "naive"  # None = unspecified, not cleared
-        assert overridden.strategy == "threads"
+        assert overridden.strategy == "processes"
         assert policy.strategy is UNSET  # original untouched
 
     def test_session_policy_attribute_is_immutable(self):
@@ -127,8 +127,8 @@ class TestPolicies:
         assert ExecutionPolicy().resolve("timeout") == Resolved(2.5, "env")
 
     def test_explain_covers_every_field(self):
-        table = ExecutionPolicy(strategy="threads").explain()
-        assert table["strategy"] == Resolved("threads", "policy")
+        table = ExecutionPolicy(strategy="processes").explain()
+        assert table["strategy"] == Resolved("processes", "policy")
         for field in (
             "engine",
             "kernel",
@@ -149,10 +149,26 @@ class TestPolicies:
             ExecutionPolicy().resolve("no_such_knob")
 
     def test_session_folds_explicit_args_over_policy(self):
-        policy = ExecutionPolicy(engine="naive", strategy="threads")
+        policy = ExecutionPolicy(engine="naive", strategy="processes")
         with Session(execution=policy, engine="polynomial") as session:
             assert session.execution.resolve("engine").value == "polynomial"
-            assert session.execution.resolve("strategy").value == "threads"
+            assert session.execution.resolve("strategy").value == "processes"
+
+    @pytest.mark.parametrize("source", ["argument", "policy", "env"])
+    def test_threads_strategy_rejected(self, source, monkeypatch):
+        from repro.corpus import CorpusError
+
+        kwargs = {}
+        if source == "argument":
+            kwargs["strategy"] = "threads"
+        elif source == "policy":
+            kwargs["execution"] = ExecutionPolicy(strategy="threads")
+        else:
+            monkeypatch.setenv("REPRO_STRATEGY", "threads")
+        with Session(**kwargs) as session:
+            fill_session(session, 1)
+            with pytest.raises(CorpusError, match="expected one of serial, processes"):
+                list(session.query_corpus((PAIR_QUERY, PAIR_VARS)))
 
 
 # =====================================================================
@@ -266,7 +282,7 @@ class TestSessionLifecycle:
         # server drains, the executor pools close — and nothing hangs.
         async def body():
             session = Session(
-                strategy="threads", serving=ServingPolicy(max_concurrent=1)
+                strategy="serial", serving=ServingPolicy(max_concurrent=1)
             )
             fill_session(session, 6)
             stream = await session.astream((PAIR_QUERY, PAIR_VARS))
@@ -339,6 +355,48 @@ class TestSharedPlans:
                     for result in await session.aquery((PAIR_QUERY, PAIR_VARS))
                 }
                 assert sync_answers == corpus_answers == async_answers
+
+        run(body())
+
+    def test_serial_sync_pass_and_async_submissions_agree(self):
+        # One serial session: a sync forest pass on a worker thread and
+        # concurrent astream submissions on the dispatch thread share the
+        # executor, store and caches, and all return the reference answers.
+        batch = [(PAIR_QUERY, PAIR_VARS), (MONADIC_QUERY, ["x"])]
+        with Session(engine="naive") as reference_session:
+            fill_session(reference_session, 6)
+            reference = {
+                (result.doc_name, result.query): result.answers
+                for result in reference_session.query_corpus(batch)
+            }
+
+        forest_sizes = []
+
+        def collect(results) -> dict:
+            collected = {}
+            for result in results:
+                forest_sizes.append(result.report.cost["forest_documents"])
+                collected[(result.doc_name, result.query)] = result.answers
+            return collected
+
+        async def body():
+            # No answer cache, so every pass and submission evaluates.
+            async with Session(strategy="serial", cache_answers=False) as session:
+                fill_session(session, 6)
+                list(session.query_corpus(batch))  # loads: later passes are forests
+                assert session.server().executor is session._executor_instance()
+
+                async def submit():
+                    stream = await session.astream(batch)
+                    return collect(await stream.results())
+
+                outcomes = await asyncio.gather(
+                    asyncio.to_thread(lambda: collect(session.query_corpus(batch))),
+                    asyncio.to_thread(lambda: collect(session.query_corpus(batch))),
+                    *(submit() for _ in range(4)),
+                )
+            assert all(outcome == reference for outcome in outcomes)
+            assert max(forest_sizes) == 6
 
         run(body())
 

@@ -629,3 +629,19 @@ class TestSnapshotCli:
             capsys=capsys,
         )
         assert report["snapshot"]["tree_hits"] == 2
+
+    def test_build_takes_snapshot_dir_from_env(self, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+
+        corpus = tmp_path / "corpus"
+        write_small_corpus(corpus, count=2)
+        monkeypatch.delenv("REPRO_SNAPSHOT_DIR", raising=False)
+        assert main(["corpus", "snapshot", "build", "--dir", str(corpus)]) == 1
+        assert "requires --snapshot-dir" in capsys.readouterr().err
+        snap = str(tmp_path / "env-snaps")
+        monkeypatch.setenv("REPRO_SNAPSHOT_DIR", snap)
+        built = self.run_cli(
+            "corpus", "snapshot", "build", "--dir", str(corpus), capsys=capsys
+        )
+        assert built["snapshot_dir"] == snap
+        assert built["snapshot"]["tree_stores"] == 2

@@ -38,7 +38,6 @@ import os
 import statistics
 import time
 
-from repro._deprecation import suppress_deprecations
 from repro.api import Document
 from repro.obs import trace as obs_trace
 from repro.workloads.bibliography import bibliography_pair_query, generate_bibliography
@@ -69,10 +68,8 @@ def _workload():
 
 def _fresh_document(tree) -> Document:
     # Direct construction keeps the measured region tight (no session-layer
-    # bookkeeping in the loop); the deprecation aimed at end users is noise
-    # in a benchmark's stderr.
-    with suppress_deprecations():
-        return Document(tree)
+    # bookkeeping in the loop).
+    return Document(tree)
 
 
 def _measure(tree, query, variables, rounds: int) -> tuple[list[float], int]:

@@ -3,8 +3,8 @@
 Shows the end-to-end workflow a downstream user would follow: serialise
 documents to XML, register them on a :class:`repro.session.Session`, compile
 a query once with :meth:`Session.compile`, and stream it across the corpus
-with :meth:`Session.query_corpus` (the Session replacement for the old
-``answer_batch`` loop).
+with :meth:`Session.query_corpus`.  The last lines print the equivalent
+``repro-xpath answer`` invocation for one file.
 
 Run with::
 

@@ -28,9 +28,13 @@ Typical usage — the :mod:`repro.api` facade::
         engine="naive",
     )
 
+For corpora, serving and shared caches, hold a :class:`repro.session.Session`.
+
 The seed-era entry points (``answer``, ``compile_query``, ``PPLEngine``)
-were removed in 1.5.0, two minor releases after their 1.2 deprecation —
-see the migration table in the README for the replacements.
+were removed in 1.5.0, two minor releases after their 1.2 deprecation;
+``answer_batch`` and the flat ``repro-xpath --xml ...`` command line were
+removed in 1.8.0 — see the migration table in the README for the
+replacements.
 """
 
 from repro.errors import (
@@ -57,7 +61,6 @@ from repro.api import (
     Document,
     Query,
     QueryReport,
-    answer_batch,
     available_engines,
     get_engine,
     register_engine,
@@ -72,7 +75,7 @@ from repro.session import (
     SessionError,
 )
 
-__version__ = "1.6.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "__version__",
@@ -94,7 +97,6 @@ __all__ = [
     "Document",
     "Query",
     "QueryReport",
-    "answer_batch",
     "available_engines",
     "get_engine",
     "register_engine",

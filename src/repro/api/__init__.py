@@ -5,7 +5,7 @@ seed exposed through three overlapping entry points now goes through two
 value types and a registry:
 
 * :class:`Document` — wraps a tree and owns all per-document state (the
-  shared PPLbin oracle, the Fig. 8 answerer, query/translation caches);
+  shared PPLbin oracle, the Fig. 8 answerer, a bounded compiled-query memo);
 * :class:`Query` — a compiled, document-independent query carrying the
   parsed AST, the Definition 1 check result and the HCL⁻/PPLbin
   translations;
@@ -27,13 +27,15 @@ Old call                                         New call
 ``compile_query(expr, vars).run(tree)``          ``Document(tree).answer(compile_query(expr, vars))``
 ``monadic_answer(tree, pplbin_expr)``            ``get_engine("corexpath1").monadic(doc, doc.compile(expr))``
 loop over queries                                ``Document(tree).answer_many(queries)``
-loop over documents                              ``answer_batch(docs, query)``
 ===============================================  ===============================================
 
 The seed-era shims (``repro.answer``, the legacy ``compile_query`` with its
 ``CompiledQuery.run``, ``PPLEngine`` and the whole ``repro.core.api``
 module) were removed in 1.5.0 — the left column above is what old code
-looked like, not something that still imports.
+looked like, not something that still imports.  ``answer_batch`` and the
+flat ``repro-xpath --xml ...`` command line were removed in 1.8.0: one query
+over many documents is :meth:`repro.session.Session.query_corpus`, and the
+command line is ``repro-xpath answer``/``check``.
 
 Typical usage::
 
@@ -58,12 +60,7 @@ from repro.api.registry import (
     register_engine,
 )
 from repro.api.query import Query, compile_query
-from repro.api.document import (
-    Document,
-    answer,
-    answer_batch,
-    as_document,
-)
+from repro.api.document import Document, answer, as_document
 from repro.api import engines as _engines  # registers the built-in backends
 from repro.api.engines import (
     BUILTIN_ENGINES,
@@ -87,7 +84,6 @@ __all__ = [
     "compile_query",
     "Document",
     "answer",
-    "answer_batch",
     "as_document",
     "BUILTIN_ENGINES",
     "PolynomialEngine",

@@ -2,17 +2,15 @@
 
 A :class:`Document` wraps a :class:`repro.trees.tree.Tree` together with the
 shared :class:`repro.hcl.binding.PPLbinOracle` (whose matrices are cached on
-the tree), the Fig. 8 answerer and the query/translation caches.  It replaces
+the tree), the Fig. 8 answerer and a bounded compiled-query memo.  It replaces
 the seed's scattered entry points (``answer()``, ``PPLEngine``,
 ``CompiledQuery._engines``): every engine answers through the same document,
 so per-axis and per-leaf work is paid once per tree, not once per engine
 instance.
 
-Batch execution:
-
-* :meth:`Document.answer_many` — many queries against one document, reusing
-  the shared oracle;
-* :func:`answer_batch` — one compiled query against many documents.
+Batch execution: :meth:`Document.answer_many` answers many queries against
+one document, reusing the shared oracle.  One query over many documents is
+:meth:`repro.session.Session.query_corpus`.
 
 :func:`as_document` adopts a bare tree into a document through a
 ``weakref.WeakValueDictionary`` registry: repeated calls with the same live
@@ -24,29 +22,25 @@ which was keyed by ``id(tree)`` and grew without bound.
 
 from __future__ import annotations
 
-import os
 import time
 import weakref
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-from repro._deprecation import suppress_deprecations, warn_deprecated
 from repro.trees.tree import Node, Tree
 from repro.trees.xml_io import tree_from_xml, tree_from_xml_file
 from repro.xpath.ast import PathExpr
 from repro.xpath.parser import parse_path
 from repro.hcl.answering import HclAnswerer
-from repro.hcl.ast import HclExpr
 from repro.hcl.binding import PPLbinOracle
 from repro.core.ppl import Violation, ppl_violations
 from repro.core.engine import QueryReport
 from repro.obs import trace as _trace
 from repro.pplbin import bitmatrix as _bitmatrix
-from repro.api.query import Query, _build_query
+from repro.api.query import PlanMemo, Query, _build_query
 from repro.api.registry import DEFAULT_ENGINE, check_capabilities, get_engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.corpus.cache import AnswerCache
-    from repro.corpus.store import DocumentStore
 
 #: Sentinel distinguishing "keep the tree's budget" from an explicit None
 #: (= unbounded) for ``Document(matrix_cache_bytes=...)`` — the one shared
@@ -127,12 +121,6 @@ class Document:
         evaluation, not just the parse.  Wired by
         :class:`repro.corpus.DocumentStore` when it has a ``snapshot_dir``.
 
-    .. deprecated::
-        Direct construction is deprecated in favour of
-        :class:`repro.session.Session`, which owns the store, caches and
-        pools this object participates in.  Existing code keeps working;
-        the session builds these internally (without the warning).
-
     Attributes
     ----------
     tree:
@@ -155,21 +143,14 @@ class Document:
         snapshot_store=None,
         source_digest: Optional[str] = None,
     ) -> None:
-        warn_deprecated(
-            "constructing Document directly",
-            "a repro.session.Session (session.add_tree/add_file + "
-            "session.query, or session.document for the handle)",
-        )
         self.tree = tree if isinstance(tree, Tree) else Tree(tree)
         if matrix_cache_bytes is not _UNSET:
             self.tree.matrix_cache().set_budget(matrix_cache_bytes)
         self.oracle = PPLbinOracle(self.tree, kernel=kernel)
         self.answerer = HclAnswerer(self.tree, self.oracle)
-        # Compiled queries keyed by (source AST, output variables); the HCL
-        # translations are cached separately so that the same expression
-        # compiled with different variable tuples translates once.
-        self._queries: dict[tuple[PathExpr, tuple[str, ...]], Query] = {}
-        self._translations: dict[PathExpr, HclExpr] = {}
+        # Compiled queries keyed by (source AST, output variables), bounded
+        # like every other plan memo so fresh texts cannot grow it forever.
+        self._queries = PlanMemo()
         if answer_cache is None and cache_answers:
             from repro.corpus.cache import AnswerCache
 
@@ -217,19 +198,19 @@ class Document:
     ) -> Query:
         """Compile an expression once, caching the result on the document.
 
-        Equivalent to :func:`repro.api.compile_query` but the parsed AST,
-        violation list and translations are cached here, so repeated
-        compilation of the same expression is free.
+        Equivalent to :func:`repro.api.compile_query` but the compiled query
+        (violation list and translations included) is memoised here, so
+        recompiling a recently used expression is free.  The memo keeps the
+        :data:`repro.api.query.PLAN_MEMO_ENTRIES` most recently used plans.
         """
         parsed = parse_path(expression) if isinstance(expression, str) else expression
         key = (parsed, tuple(variables))
         query = self._queries.get(key)
         if query is None:
             text = expression if isinstance(expression, str) else None
-            query = _build_query(
-                parsed, tuple(variables), text=text, translations=self._translations
+            query = self._queries.setdefault(
+                key, _build_query(parsed, tuple(variables), text=text)
             )
-            self._queries[key] = query
         if require_ppl:
             query.require_ppl()
         return query
@@ -537,8 +518,7 @@ def as_document(source: Document | Tree | Node) -> Document:
     tree = source if isinstance(source, Tree) else Tree(source)
     document = _documents.get(id(tree))
     if document is None or document.tree is not tree:
-        with suppress_deprecations():
-            document = Document(tree)
+        document = Document(tree)
         _documents[id(tree)] = document
     return document
 
@@ -553,67 +533,3 @@ def answer(
 ) -> frozenset[tuple[int, ...]]:
     """Answer one n-ary query on one document (convenience one-liner)."""
     return as_document(tree).answer(expression, variables, engine=engine)
-
-
-def answer_batch(
-    documents: Iterable[Union[Document, Tree, Node, str, "os.PathLike[str]"]],
-    query: QueryLike,
-    variables: Optional[Sequence[str]] = None,
-    *,
-    engine: str = DEFAULT_ENGINE,
-    store: Optional["DocumentStore"] = None,
-) -> list[frozenset[tuple[int, ...]]]:
-    """Answer one query against many documents.
-
-    The query is compiled once (queries are document-independent) and run
-    against each document's shared oracle.
-
-    Each item may be a :class:`Document`, a bare tree, or a *string/path*:
-    strings resolve through ``store`` (a
-    :class:`repro.corpus.DocumentStore`) — registered names win, unknown
-    strings naming an XML file on disk are adopted into the store so
-    repeated batches reuse the parse.  Without ``store`` an ephemeral
-    unbounded store backs the call, so path items still share parses within
-    one batch.
-
-    .. deprecated::
-        Passing bare in-memory trees keeps working (they are adopted through
-        the weak document registry) but is a legacy path: trees bypass the
-        store, so they get no LRU residency bound, no reuse across batches
-        and no access to the parallel strategies of
-        :class:`repro.corpus.CorpusExecutor` (whose workers rebuild from
-        *sources*, which a bare tree does not have).  New code should
-        register documents in a ``DocumentStore`` and pass names; a later
-        release will route all batch scheduling through the store.
-
-    .. deprecated::
-        Use :meth:`repro.session.Session.query_corpus` — register the
-        documents on the session's store and stream the results.
-    """
-    warn_deprecated("answer_batch(...)", "Session.query_corpus(...)")
-    if not isinstance(query, Query):
-        from repro.api.query import compile_query
-
-        query = compile_query(query, tuple(variables or ()), require_ppl=False)
-    elif variables is not None and tuple(variables) != query.variables:
-        raise ValueError(
-            "variables cannot be overridden on a compiled Query; "
-            "compile with the desired output tuple instead"
-        )
-
-    def resolve(item) -> Document:
-        nonlocal store
-        if isinstance(item, (Document, Tree, Node)):
-            return as_document(item)
-        if isinstance(item, (str, os.PathLike)):
-            if store is None:
-                from repro.corpus.store import DocumentStore
-
-                store = DocumentStore()
-            return store.resolve(os.fspath(item))
-        raise TypeError(
-            f"cannot answer on {item!r}: expected a Document, Tree, Node, "
-            "store name or XML file path"
-        )
-
-    return [resolve(document).answer(query, engine=engine) for document in documents]

@@ -239,8 +239,9 @@ class PlanMemo:
     """A bounded, thread-safe LRU of compiled queries.
 
     Keyed by ``(expression, variables)``.  The one memo implementation
-    behind the session's plan memo, the shard workers' memo and the
-    executor's in-parent fallback, all sized by :data:`PLAN_MEMO_ENTRIES`.
+    behind the session's plan memo, each document's compile memo, the shard
+    workers' memo and the executor's in-parent fallback, all sized by
+    :data:`PLAN_MEMO_ENTRIES`.
     """
 
     def __init__(self) -> None:
@@ -310,20 +311,14 @@ def _build_query(
     variables: tuple[str, ...],
     *,
     text: Optional[str] = None,
-    translations: Optional[dict[PathExpr, HclExpr]] = None,
 ) -> Query:
-    """Build a :class:`Query`, reusing ``translations`` as an HCL cache."""
+    """Check and translate a parsed expression into a :class:`Query`."""
     violations = tuple(ppl_violations(parsed))
 
     hcl: Optional[HclExpr] = None
     if not violations:
-        if translations is not None and parsed in translations:
-            hcl = translations[parsed]
-        else:
-            with _trace.span("translate", target="hcl"):
-                hcl = ppl_to_hcl(parsed)
-            if translations is not None:
-                translations[parsed] = hcl
+        with _trace.span("translate", target="hcl"):
+            hcl = ppl_to_hcl(parsed)
 
     pplbin: Optional[BinExpr] = None
     if is_variable_free(parsed):

@@ -82,9 +82,8 @@ Subcommands
             repro-xpath serve warm --plan-cache /var/cache/repro-plans \
                 --query "descendant::book[child::author[. is \$y]]" --vars y
 
-The seed's flat invocation (``repro-xpath --xml ... --query ...``) keeps
-working and is routed through the same facade; ``--engine ppl`` is accepted
-as an alias of ``polynomial``.
+Every invocation names a subcommand; ``--engine ppl`` is accepted as the
+engine registry's alias of ``polynomial``.
 """
 
 from __future__ import annotations
@@ -106,19 +105,8 @@ from repro.api import (
 from repro.corpus import STRATEGIES
 from repro.session import ExecutionPolicy, ServingPolicy, Session
 
-SUBCOMMANDS = (
-    "answer",
-    "check",
-    "translate",
-    "bench",
-    "engines",
-    "corpus",
-    "serve",
-    "obs",
-)
 
-
-# ---------------------------------------------------------------- new parser
+# -------------------------------------------------------------------- parser
 def build_parser() -> argparse.ArgumentParser:
     """Return the subcommand argument parser for the ``repro-xpath`` entry point."""
     parser = argparse.ArgumentParser(
@@ -612,42 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# ------------------------------------------------------------- legacy parser
-def build_legacy_parser() -> argparse.ArgumentParser:
-    """The seed's flat parser, kept so existing invocations stay valid."""
-    parser = argparse.ArgumentParser(
-        prog="repro-xpath",
-        description="Answer n-ary PPL (Core XPath 2.0) queries on XML documents "
-        "with the polynomial-time engine of Filiot et al., PODS 2007.",
-    )
-    parser.add_argument("--xml", help="path to the XML document to query")
-    parser.add_argument("--query", required=True, help="the Core XPath 2.0 / PPL expression")
-    parser.add_argument(
-        "--vars",
-        default="",
-        help="comma-separated output variables (without $), e.g. 'y,z'",
-    )
-    parser.add_argument(
-        "--engine",
-        default="ppl",
-        help="query engine: a registry name, or the legacy aliases ppl/naive",
-    )
-    parser.add_argument(
-        "--check-only",
-        action="store_true",
-        help="only report whether the expression satisfies Definition 1 (PPL)",
-    )
-    parser.add_argument(
-        "--stats", action="store_true", help="print expression/translation statistics"
-    )
-    parser.add_argument(
-        "--labels",
-        action="store_true",
-        help="print node labels next to node identifiers in the answer tuples",
-    )
-    return parser
-
-
 def _split_vars(text: str) -> list[str]:
     return [name.strip() for name in text.split(",") if name.strip()]
 
@@ -659,9 +611,9 @@ def _apply_kernel(name: Optional[str]) -> None:
     resolved name to worker subprocesses (the precedence fix), so this is
     not what makes workers agree any more.  It is kept because a CLI
     invocation is one process serving one command: anything materialised
-    outside the session's store (ad-hoc documents, legacy paths) should
-    follow the flag too, and ``REPRO_KERNEL`` is exported for tools the
-    command execs in turn.
+    outside the session's store (ad-hoc documents) should follow the flag
+    too, and ``REPRO_KERNEL`` is exported for tools the command execs in
+    turn.
     """
     if name is None:
         return
@@ -1418,18 +1370,7 @@ def _run_engines() -> int:
 # ---------------------------------------------------------------- entry point
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
-    arguments = list(sys.argv[1:] if argv is None else argv)
-    # The subcommand interface is the primary one: bare invocations and
-    # top-level --help must surface it.  Only invocations that *start* with a
-    # legacy flag (and are not help requests) take the compatibility path.
-    if not arguments or arguments[0] in SUBCOMMANDS or arguments[0] in ("-h", "--help"):
-        return _main_subcommands(arguments)
-    return _main_legacy(arguments)
-
-
-def _main_subcommands(arguments: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(arguments)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "check":
             return _run_check(args.query)
@@ -1483,30 +1424,6 @@ def _main_subcommands(arguments: list[str]) -> int:
             args.query,
             _split_vars(args.vars),
             args.engine,
-            args.labels,
-            args.stats,
-        )
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-
-def _main_legacy(arguments: list[str]) -> int:
-    parser = build_legacy_parser()
-    args = parser.parse_args(arguments)
-
-    if args.check_only:
-        return _run_check(args.query)
-
-    if not args.xml:
-        parser.error("--xml is required unless --check-only is given")
-
-    try:
-        return _run_answer(
-            args.xml,
-            args.query,
-            _split_vars(args.vars),
-            args.engine,  # "ppl" resolves through the registry alias
             args.labels,
             args.stats,
         )

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-from repro._deprecation import suppress_deprecations
 from repro.errors import ReproError
 from repro.trees.tree import Node, Tree
 from repro.trees.xml_io import tree_from_xml, tree_from_xml_file, tree_to_xml
@@ -123,17 +122,16 @@ class DocumentSource:
         kwargs = {} if matrix_cache_bytes is _UNSET else {
             "matrix_cache_bytes": matrix_cache_bytes
         }
-        with suppress_deprecations():
-            return Document(
-                tree,
-                cache_answers=cache_answers,
-                answer_cache=answer_cache,
-                cache_owner=cache_owner,
-                kernel=kernel,
-                snapshot_store=snapshot_store,
-                source_digest=source_digest,
-                **kwargs,
-            )
+        return Document(
+            tree,
+            cache_answers=cache_answers,
+            answer_cache=answer_cache,
+            cache_owner=cache_owner,
+            kernel=kernel,
+            snapshot_store=snapshot_store,
+            source_digest=source_digest,
+            **kwargs,
+        )
 
     def spec(self) -> tuple[str, str]:
         """Return a picklable ``(kind, payload)`` pair for worker processes.
@@ -271,7 +269,7 @@ class DocumentStore:
         """Register an XML file, named after its stem unless ``name`` is given.
 
         Re-registering the same path under the same name is a no-op, so the
-        store can double as a path cache (see :func:`repro.api.answer_batch`).
+        store can double as a path cache (see :meth:`resolve`).
         """
         resolved = str(path)
         key = name if name is not None else Path(resolved).stem
@@ -459,10 +457,10 @@ class DocumentStore:
     def resolve(self, name_or_path: Union[str, Path]) -> Document:
         """Resolve a registered name, or register-and-load a filesystem path.
 
-        This is the lookup :func:`repro.api.answer_batch` routes string items
-        through: names win over paths, unknown strings that exist on disk are
-        adopted as file sources (so repeated batches reuse the parse), and
-        anything else is an error.  Adopted paths are registered under their
+        This is the lookup :meth:`repro.session.Session.query` routes string
+        documents through: names win over paths, unknown strings that exist
+        on disk are adopted as file sources (so repeated queries reuse the
+        parse), and anything else is an error.  Adopted paths are registered under their
         full path string, so they can never collide with directory-registered
         stems (or with the same file spelled through a different path).
         """

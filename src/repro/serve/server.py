@@ -262,10 +262,6 @@ class CorpusServer:
         :class:`ServerOverloadedError` (an idle server admits any size).
     stream_buffer:
         Per-submission result queue size (per-client backpressure).
-    latency_window:
-        Accepted for compatibility; latency quantiles now come from
-        unbounded mergeable histograms (:mod:`repro.obs.metrics`) rather
-        than a bounded window, so the knob no longer limits anything.
     abandon_grace:
         Once the server is draining, a stream whose full queue has gone
         unread for this many seconds is treated as abandoned (consumer gone
@@ -304,7 +300,6 @@ class CorpusServer:
         max_concurrent: Optional[int] = None,
         max_queue: Optional[int] = None,
         stream_buffer: Optional[int] = None,
-        latency_window: Optional[int] = None,
         abandon_grace: Optional[float] = None,
         policy: Optional[ServingPolicy] = None,
         session=None,
@@ -316,7 +311,6 @@ class CorpusServer:
             max_concurrent=max_concurrent,
             max_queue=max_queue,
             stream_buffer=stream_buffer,
-            latency_window=latency_window,
             abandon_grace=abandon_grace,
         )
         max_concurrent = self.policy.max_concurrent

@@ -26,10 +26,11 @@ Quickstart::
         for result in session.query_corpus(("descendant::a[. is $x]", ["x"])):
             print(result.doc_name, len(result.answers))
 
-The pre-Session entry points (:class:`repro.api.Document` construction,
-:func:`repro.api.answer_batch`, :class:`repro.corpus.CorpusExecutor`,
-:class:`repro.serve.CorpusServer`) keep working as deprecation-shimmed
-wrappers; see the README's migration table.
+The layers below stay usable on their own: :class:`repro.api.Document` is
+a plain value type for one document, and :class:`repro.corpus.CorpusExecutor`
+and :class:`repro.serve.CorpusServer` are the components a session builds
+and wires to its store, plan memo and policies.  The README's migration
+table lists the removed entry points and their replacements.
 """
 
 from repro.errors import CorpusTimeoutError, SessionClosedError, SessionError

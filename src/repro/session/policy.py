@@ -389,10 +389,6 @@ class ServingPolicy:
         rejected with a typed ``overloaded`` error while other work pends.
     stream_buffer:
         Per-submission result queue size (per-client backpressure).
-    latency_window:
-        Retained for compatibility: latency quantiles now come from the
-        server's unbounded mergeable histograms (:mod:`repro.obs.metrics`)
-        rather than a bounded sliding window.
     abandon_grace:
         Seconds a full, unread stream queue survives during drain before
         being treated as abandoned and cancelled.
@@ -434,7 +430,6 @@ class ServingPolicy:
     max_concurrent: int = 4
     max_queue: int = 256
     stream_buffer: int = 16
-    latency_window: int = 512
     abandon_grace: float = 5.0
     auth_token: Optional[str] = None
     max_submissions_per_client: Optional[int] = None

@@ -46,7 +46,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Union
 
 from repro.errors import CorpusTimeoutError, SessionClosedError
-from repro._deprecation import suppress_deprecations
 from repro.obs import trace as _trace
 from repro.obs.slowlog import SlowQueryLog
 from repro.session.policy import UNSET, ExecutionPolicy, ServingPolicy
@@ -439,8 +438,7 @@ class Session:
         if isinstance(document, Document):
             return document
         if isinstance(document, (Tree, Node)):
-            with suppress_deprecations():
-                return as_document(document)
+            return as_document(document)
         if isinstance(document, (str, os.PathLike)):
             return self.store.resolve(os.fspath(document))
         raise TypeError(

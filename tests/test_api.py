@@ -2,6 +2,8 @@
 
 import gc
 import json
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,6 @@ from repro.api import (
     Document,
     EngineCapabilities,
     Query,
-    answer_batch,
     as_document,
     available_engines,
     compile_query,
@@ -27,6 +28,7 @@ from repro.api import (
     register_engine,
 )
 from repro.api.document import _documents
+from repro.api.query import PLAN_MEMO_ENTRIES
 from repro.workloads.bibliography import (
     bibliography_pair_query,
     book_author_title_triples_query,
@@ -217,7 +219,21 @@ def test_document_compile_caches_queries_and_translations(paper_bib):
     assert first is second
     other_vars = document.compile(parsed, ["x", "q"])
     assert other_vars is not first
-    assert len(document._translations) == 1  # HCL translated once
+    assert other_vars.hcl == first.hcl
+    assert len(document._queries) == 2  # one plan per (expression, variables)
+
+
+def test_document_compile_memo_is_bounded(paper_bib):
+    document = Document(paper_bib)
+    texts = [
+        f"descendant::author[. is $x] union descendant::t{index}"
+        for index in range(2 * PLAN_MEMO_ENTRIES)
+    ]
+    expected = document.answer(texts[0], ["x"])
+    for text in texts:
+        assert document.answer(text, ["x"]) == expected
+    assert len(document._queries) <= PLAN_MEMO_ENTRIES
+    assert document.compile(texts[-1], ["x"]) is document.compile(texts[-1], ["x"])
 
 
 def test_document_answer_rejects_variable_override(paper_bib):
@@ -244,16 +260,6 @@ def test_answer_many_mixes_item_forms(paper_bib):
     assert results[0] == document.answer(compiled)
     assert results[1] == document.answer(TRIPLE_QUERY, TRIPLE_VARS)
     assert results[2] == frozenset({()})
-
-
-def test_answer_batch_compiles_once(paper_bib, generated_bib):
-    expected = [
-        Document(paper_bib).answer(PAIR_QUERY, PAIR_VARS),
-        Document(generated_bib).answer(PAIR_QUERY, PAIR_VARS),
-    ]
-    assert answer_batch([paper_bib, generated_bib], PAIR_QUERY, PAIR_VARS) == expected
-    query = compile_query(PAIR_QUERY, PAIR_VARS)
-    assert answer_batch([paper_bib, generated_bib], query) == expected
 
 
 # --------------------------------------------------------- weak document registry
@@ -326,6 +332,15 @@ def test_seed_era_entry_points_are_gone():
     assert not hasattr(repro.core.engine, "PPLEngine")
     with pytest.raises(ImportError):
         import repro.core.api  # noqa: F401
+
+
+def test_package_version_matches_pyproject():
+    import repro
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert project["version"] == repro.__version__
 
 
 # ------------------------------------------------------------------------- CLI

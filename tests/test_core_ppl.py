@@ -136,7 +136,7 @@ def test_document_accepts_ast_and_caches_translation(paper_bib):
     first = document.answer(parsed, ["x"])
     second = document.answer(parsed, ["x"])
     assert first == second
-    assert len(document._translations) == 1
+    assert len(document._queries) == 1  # compiled (and translated) once
 
 
 def test_document_nonempty(paper_bib):

@@ -1,4 +1,4 @@
-"""Tests for the corpus subsystem: store, executor, report, CLI, batch API."""
+"""Tests for the corpus subsystem: store, executor, report, CLI, per-item resolution."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro import cli
-from repro.api import Document, answer_batch, compile_query
+from repro.api import Document, compile_query
 from repro.corpus import (
     CorpusError,
     CorpusExecutor,
@@ -15,6 +15,7 @@ from repro.corpus import (
     DocumentStore,
     answer_corpus,
 )
+from repro.session import Session
 from repro.trees.xml_io import tree_to_xml
 from repro.workloads import corpus_scales, generate_corpus, write_corpus
 from repro.workloads.bibliography import (
@@ -302,17 +303,21 @@ class TestCorpusReport:
         assert report.total_answers == sum(len(r.answers) for r in results)
 
 
-# ------------------------------------------------------------- answer_batch
+# ------------------------------------------------- per-item document resolution
 class TestAnswerBatchResolution:
+    """``Session.query`` resolves each item through ``DocumentStore.resolve``."""
+
     def test_paths_without_store(self, corpus_dir):
         paths = sorted(corpus_dir.glob("*.xml"))
-        answers = answer_batch([str(p) for p in paths], PAIR_QUERY, PAIR_VARS)
+        with Session() as session:
+            answers = [session.query(str(p), PAIR_QUERY, PAIR_VARS) for p in paths]
         reference = expected_answers(corpus_dir, PAIR_QUERY, PAIR_VARS)
         assert answers == [reference[p.stem] for p in paths]
 
     def test_names_through_store(self, corpus_dir):
         store = DocumentStore.from_directory(corpus_dir)
-        answers = answer_batch(list(store.names()), PAIR_QUERY, PAIR_VARS, store=store)
+        with Session(store=store) as session:
+            answers = [session.query(name, PAIR_QUERY, PAIR_VARS) for name in store.names()]
         reference = expected_answers(corpus_dir, PAIR_QUERY, PAIR_VARS)
         assert answers == [reference[name] for name in store.names()]
         assert store.stats.loads == 6
@@ -320,21 +325,19 @@ class TestAnswerBatchResolution:
     def test_mixed_items(self, corpus_dir):
         store = DocumentStore.from_directory(corpus_dir)
         tree = generate_bibliography(3, seed=1)
-        answers = answer_batch(
-            ["doc000", corpus_dir / "doc001.xml", tree, Document(tree)],
-            PAIR_QUERY,
-            PAIR_VARS,
-            store=store,
-        )
+        items = ["doc000", corpus_dir / "doc001.xml", tree, Document(tree)]
+        with Session(store=store) as session:
+            answers = [session.query(item, PAIR_QUERY, PAIR_VARS) for item in items]
         reference = expected_answers(corpus_dir, PAIR_QUERY, PAIR_VARS)
         direct = Document(tree).answer(PAIR_QUERY, PAIR_VARS)
         assert answers == [reference["doc000"], reference["doc001"], direct, direct]
 
     def test_unresolvable_items_raise(self):
-        with pytest.raises(CorpusError):
-            answer_batch(["nowhere.xml"], PAIR_QUERY, PAIR_VARS)
-        with pytest.raises(TypeError):
-            answer_batch([42], PAIR_QUERY, PAIR_VARS)
+        with Session() as session:
+            with pytest.raises(CorpusError):
+                session.query("nowhere.xml", PAIR_QUERY, PAIR_VARS)
+            with pytest.raises(TypeError):
+                session.query(42, PAIR_QUERY, PAIR_VARS)
 
 
 # --------------------------------------------------------------- the CLI

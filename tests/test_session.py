@@ -15,8 +15,9 @@ Covers PR 5's tentpole and satellites:
   submission quotas;
 * ``repro-xpath engines`` listing kernels from the same registry the
   Session consults;
-* the deprecation shims on the pre-Session entry points (silent inside the
-  session, warning on direct use).
+* the removed pre-Session entry points stay removed, and direct use of the
+  surviving layers (``Document``, ``CorpusExecutor``, ``CorpusServer``) and
+  of the session raises no ``DeprecationWarning``.
 
 Async tests run through plain ``asyncio.run`` (no pytest-asyncio here),
 matching ``tests/test_serve.py``.
@@ -31,7 +32,7 @@ import warnings
 
 import pytest
 
-from repro.api import Document, answer_batch
+from repro.api import Document
 from repro.corpus import CorpusExecutor, DocumentStore
 from repro.errors import SessionClosedError
 from repro.pplbin import bitmatrix
@@ -204,15 +205,13 @@ class TestKernelPrecedence:
             store.add_xml(
                 f"doc{index}", tree_to_xml(generate_bibliography(2, seed=index))
             )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with CorpusExecutor(
-                store, strategy="processes", max_workers=2, kernel="bitset"
-            ) as executor:
-                kernels = {
-                    result.report.kernel
-                    for result in executor.run((PAIR_QUERY, list(PAIR_VARS)))
-                }
+        with CorpusExecutor(
+            store, strategy="processes", max_workers=2, kernel="bitset"
+        ) as executor:
+            kernels = {
+                result.report.kernel
+                for result in executor.run((PAIR_QUERY, list(PAIR_VARS)))
+            }
         assert kernels == {"bitset"}
 
     def test_policy_kernel_applies_to_store_documents(self):
@@ -642,20 +641,11 @@ class TestEnginesKernelListing:
 
 
 # =====================================================================
-# Deprecation shims: silent inside the session, warning outside
+# Removed entry points stay removed; the surviving ones never warn
 # =====================================================================
 class TestDeprecationShims:
-    def test_direct_document_construction_warns(self, paper_bib):
-        with pytest.warns(DeprecationWarning, match="Session"):
-            Document(paper_bib)
-
-    def test_answer_batch_warns(self, paper_bib):
-        with pytest.warns(DeprecationWarning, match="query_corpus"):
-            answer_batch([Tree(Node("a"))], MONADIC_QUERY, ["x"])
-
     def test_corpus_executor_construction_is_silent(self):
-        # 1.5.0 dropped the construction warning: building an executor
-        # directly is a supported embedding, not a legacy path.
+        # Building an executor directly is a supported embedding.
         store = DocumentStore()
         store.add_xml("d", "<a/>")
         with warnings.catch_warnings():
@@ -672,9 +662,13 @@ class TestDeprecationShims:
 
     def test_seed_era_entry_points_removed(self):
         import repro
+        import repro.api
+        import repro.api.document
 
-        for name in ("answer", "compile_query", "PPLEngine"):
+        for name in ("answer", "compile_query", "PPLEngine", "answer_batch"):
             assert not hasattr(repro, name)
+        assert not hasattr(repro.api, "answer_batch")
+        assert not hasattr(repro.api.document, "answer_batch")
 
     def test_session_paths_do_not_warn(self):
         async def body():
@@ -690,10 +684,10 @@ class TestDeprecationShims:
         run(body())
 
     def test_deprecated_entry_points_still_work(self, paper_bib):
-        # The shims must stay functional, not just noisy.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            direct = Document(paper_bib).answer(PAIR_QUERY, PAIR_VARS)
+        # A directly constructed Document is a plain value type: it answers
+        # like the session does, and the tier-1 filter turns any warning it
+        # raised into a failure.
+        direct = Document(paper_bib).answer(PAIR_QUERY, PAIR_VARS)
         with Session() as session:
             via_session = session.query(paper_bib, PAIR_QUERY, PAIR_VARS)
         assert direct == via_session

@@ -30,11 +30,8 @@ import struct
 import sys
 import threading
 import time
-import warnings
 
 import pytest
-
-warnings.filterwarnings("ignore", category=DeprecationWarning)
 
 from repro.corpus.store import DocumentStore
 from repro.errors import CorpusTimeoutError
@@ -161,16 +158,14 @@ class TestCodec:
 
     def test_answers_identical_across_engines(self, tmp_path):
         from repro.api import Document
-        from repro._deprecation import suppress_deprecations
 
         tree = small_tree()
         path = tmp_path / "snap.snap"
         path.write_bytes(encode_snapshot(tree, "a" * 64))
         loaded = decode_snapshot(path)
         for engine in ("polynomial", "naive"):
-            with suppress_deprecations():
-                parsed = Document(tree).answer(QUERY, VARIABLES, engine=engine)
-                warm = Document(loaded).answer(QUERY, VARIABLES, engine=engine)
+            parsed = Document(tree).answer(QUERY, VARIABLES, engine=engine)
+            warm = Document(loaded).answer(QUERY, VARIABLES, engine=engine)
             assert parsed == warm, engine
 
     def test_stale_digest_rejected(self, tmp_path):

@@ -160,6 +160,7 @@ def bib_xml_path(tmp_path, paper_bib):
 def test_cli_answers_query(capsys, bib_xml_path):
     code = cli.main(
         [
+            "answer",
             "--xml",
             bib_xml_path,
             "--query",
@@ -178,6 +179,7 @@ def test_cli_answers_query(capsys, bib_xml_path):
 def test_cli_labels_and_stats(capsys, bib_xml_path):
     code = cli.main(
         [
+            "answer",
             "--xml",
             bib_xml_path,
             "--query",
@@ -197,6 +199,7 @@ def test_cli_labels_and_stats(capsys, bib_xml_path):
 def test_cli_naive_engine(capsys, bib_xml_path):
     code = cli.main(
         [
+            "answer",
             "--xml",
             bib_xml_path,
             "--query",
@@ -212,27 +215,39 @@ def test_cli_naive_engine(capsys, bib_xml_path):
 
 
 def test_cli_boolean_query(capsys, bib_xml_path):
-    code = cli.main(["--xml", bib_xml_path, "--query", "descendant::price", "--vars", ""])
+    code = cli.main(
+        ["answer", "--xml", bib_xml_path, "--query", "descendant::price", "--vars", ""]
+    )
     captured = capsys.readouterr()
     assert code == 0
     assert "non-empty" in captured.out
 
 
 def test_cli_check_only_accepts_and_rejects(capsys):
-    assert cli.main(["--check-only", "--query", "descendant::a[. is $x]"]) == 0
+    assert cli.main(["check", "--query", "descendant::a[. is $x]"]) == 0
     assert "PPL" in capsys.readouterr().out
-    assert cli.main(["--check-only", "--query", "for $x in child::a return ."]) == 1
+    assert cli.main(["check", "--query", "for $x in child::a return ."]) == 1
     assert "N(for)" in capsys.readouterr().out
 
 
 def test_cli_reports_errors(capsys, bib_xml_path):
-    code = cli.main(["--xml", bib_xml_path, "--query", "child::", "--vars", "x"])
+    code = cli.main(["answer", "--xml", bib_xml_path, "--query", "child::", "--vars", "x"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
-    code = cli.main(["--xml", os.devnull, "--query", "child::a", "--vars", ""])
+    code = cli.main(["answer", "--xml", os.devnull, "--query", "child::a", "--vars", ""])
     assert code == 1
 
 
-def test_cli_requires_xml_unless_check_only():
-    with pytest.raises(SystemExit):
-        cli.main(["--query", "child::a"])
+def test_cli_requires_xml_unless_check_only(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["answer", "--query", "child::a"])
+    assert excinfo.value.code == 2
+    assert "--xml" in capsys.readouterr().err
+
+
+def test_cli_flat_invocation_is_a_usage_error(capsys, bib_xml_path):
+    # The seed's flat form is gone: every invocation names a subcommand.
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["--xml", bib_xml_path, "--query", "descendant::price", "--vars", ""])
+    assert excinfo.value.code == 2
+    assert "answer" in capsys.readouterr().err

@@ -1,20 +1,16 @@
-"""Removal-timeline guard for the deprecated API tail.
+"""Guard that the supported Session surface stays warning-free.
 
-The seed-era entry points (``answer``, ``compile_query``, ``PPLEngine``)
-were removed in 1.5.0; the remaining deprecated surface — constructing
-:class:`repro.api.Document` directly and :func:`repro.api.answer_batch` —
-must keep warning (pointing at the Session replacements) until its own
-removal release.  If either warning stops firing, a silent behaviour change
-slipped in; if either stops *working*, the migration window closed early.
+The deprecated API tail (``answer``, ``compile_query``, ``PPLEngine``,
+``answer_batch`` and the warning on direct :class:`repro.api.Document`
+construction) has been removed.  What remains must not raise a
+``DeprecationWarning``, or users would be sent from one deprecation into
+another.
 """
 
 from __future__ import annotations
 
 import warnings
 
-import pytest
-
-from repro import Document, answer_batch
 from repro.session import Session
 from repro.trees.tree import Node, Tree
 
@@ -30,35 +26,6 @@ def bib_tree() -> Tree:
             Node("book", Node("title"), Node("price")),
         )
     )
-
-
-def test_direct_document_construction_still_warns_and_works():
-    with pytest.warns(DeprecationWarning, match="constructing Document directly"):
-        document = Document(bib_tree())
-    # The deprecated path must stay functional until its removal release.
-    assert document.answer(PAIR_QUERY, PAIR_VARS)
-
-
-def test_direct_document_warning_names_the_replacement():
-    with pytest.warns(DeprecationWarning, match="Session"):
-        Document(bib_tree())
-
-
-def test_answer_batch_still_warns_and_works():
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("ignore", DeprecationWarning)
-        document = Document(bib_tree())
-    with pytest.warns(DeprecationWarning, match=r"answer_batch\(\.\.\.\)"):
-        results = answer_batch([document], PAIR_QUERY, PAIR_VARS)
-    assert results and results[0]  # one non-empty answer set per document
-
-
-def test_answer_batch_warning_points_at_query_corpus():
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("ignore", DeprecationWarning)
-        document = Document(bib_tree())
-    with pytest.warns(DeprecationWarning, match=r"Session\.query_corpus"):
-        list(answer_batch([document], PAIR_QUERY, PAIR_VARS))
 
 
 def test_session_paths_do_not_warn():

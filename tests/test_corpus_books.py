@@ -92,7 +92,7 @@ def _record(result) -> dict:
 
 def mixed_passes(strategy: str) -> list[list[dict]]:
     """The records of every pass of :data:`PASSES` under ``strategy``."""
-    with Session(strategy=strategy, max_workers=2) as session:
+    with Session(strategy=strategy, max_workers=2, kernel="adaptive") as session:
         for index, name in enumerate(DOCUMENTS):
             session.add_xml(name, _document(index))
         return [

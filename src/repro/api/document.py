@@ -289,15 +289,21 @@ class Document:
             answers = self._answer_cache.get(key)
             lookup.set(hit=answers is not None)
         if answers is None and self._snapshot_store is not None:
-            # Spill tier: answers addressed by (source digest, plan, engine)
-            # survive process restarts; a disk hit re-seeds the memory memo.
-            with _trace.span("snapshot.answers") as spill:
-                answers = self._snapshot_store.load_answers(
-                    self._source_digest, compiled.unparse(), compiled.variables, engine
-                )
-                spill.set(hit=answers is not None)
-            if answers is not None:
-                self._answer_cache.put(key, answers)
+            answers = self._spilled_answers(compiled, engine)
+        return answers
+
+    def _spilled_answers(
+        self, compiled: Query, engine: str
+    ) -> Optional[frozenset[tuple[int, ...]]]:
+        # Spill tier: answers addressed by (source digest, plan, engine)
+        # survive process restarts; a disk hit re-seeds the memory memo.
+        with _trace.span("snapshot.answers") as spill:
+            answers = self._snapshot_store.load_answers(
+                self._source_digest, compiled.unparse(), compiled.variables, engine
+            )
+            spill.set(hit=answers is not None)
+        if answers is not None:
+            self._answer_cache.put(self._answer_key(compiled, engine), answers)
         return answers
 
     def remember_answers(
@@ -308,9 +314,12 @@ class Document:
             return
         self._answer_cache.put(self._answer_key(compiled, engine), answers)
         if self._snapshot_store is not None:
-            self._snapshot_store.store_answers(
-                self._source_digest, compiled.unparse(), compiled.variables, engine, answers
-            )
+            self._spill(compiled, engine, answers)
+
+    def _spill(self, compiled: Query, engine: str, answers: frozenset) -> None:
+        self._snapshot_store.store_answers(
+            self._source_digest, compiled.unparse(), compiled.variables, engine, answers
+        )
 
     def nonempty(self, query: QueryLike, *, engine: str = DEFAULT_ENGINE) -> bool:
         """Decide non-emptiness of the query (Boolean query answering)."""
@@ -384,16 +393,15 @@ class Document:
             cost = meter.finish(time.perf_counter() - started)
             trace_tree = _trace.take_last_trace()
         return QueryReport(
-            expression_size=compiled.expression_size,
-            hcl_size=compiled.hcl_size,
-            distinct_leaves=compiled.distinct_leaves,
-            variables=compiled.variables,
+            **report_fields(
+                compiled,
+                engine,
+                self.oracle.kernel.name,
+                self.tree.matrix_cache().stats.to_dict(),
+                trace_tree,
+            ),
             answer_count=len(answers),
             tree_size=self.tree.size,
-            engine=engine,
-            kernel=self.oracle.kernel.name,
-            matrix_cache=self.tree.matrix_cache().stats.to_dict(),
-            trace=trace_tree,
             cost=cost,
         )
 
@@ -446,6 +454,108 @@ class Document:
         return self.compile(query, tuple(variables or ()), require_ppl=False)
 
 
+def report_fields(
+    compiled: Query, engine: str, kernel: str, matrix_cache: dict, trace: Optional[dict]
+) -> dict:
+    """The :class:`QueryReport` fields that do not depend on which document answered.
+
+    Everything but ``answer_count``, ``tree_size`` and ``cost``: a corpus
+    pass builds these once per query and run, and every document of the
+    run shares them.
+    """
+    return {
+        "expression_size": compiled.expression_size,
+        "hcl_size": compiled.hcl_size,
+        "distinct_leaves": compiled.distinct_leaves,
+        "variables": compiled.variables,
+        "engine": engine,
+        "kernel": kernel,
+        "matrix_cache": matrix_cache,
+        "trace": trace,
+    }
+
+
+def _by_cache(documents: Sequence[Document]) -> list[tuple["AnswerCache", list[int]]]:
+    """The documents' answer caches, each with the positions of its documents."""
+    first = documents[0]._answer_cache if documents else None
+    if all(document._answer_cache is first for document in documents):
+        return [] if first is None else [(first, list(range(len(documents))))]
+    groups: dict[int, tuple] = {}
+    for position, document in enumerate(documents):
+        cache = document._answer_cache
+        if cache is not None:
+            groups.setdefault(id(cache), (cache, []))[1].append(position)
+    return list(groups.values())
+
+
+def cached_answers_many(documents: Sequence[Document], compiled: Query, engine: str) -> list:
+    """:meth:`Document.cached_answers` for many documents and one query.
+
+    The documents sharing an answer cache are looked up under one lock hold
+    (:meth:`repro.corpus.cache.AnswerCache.get_many`), and a memory hit
+    comes back packed (:class:`repro.corpus.cache.PackedAnswers`), to be
+    unpacked only where its answer set is read.  A memory miss consults
+    the document's snapshot spill as the one-document lookup does; a spill
+    hit comes back as the frozenset the spill held.  ``None`` is a miss.
+    """
+    found: list = [None] * len(documents)
+    groups = _by_cache(documents)
+    if not groups:
+        return found
+    query = (compiled.plan_text, compiled.variables, engine)
+    with _trace.span("answer_cache.lookup", documents=len(documents)) as lookup:
+        for cache, positions in groups:
+            owners = [documents[position]._cache_owner for position in positions]
+            for position, value in zip(positions, cache.get_many(query, owners)):
+                found[position] = value
+        lookup.set(hits=sum(value is not None for value in found))
+    for position, document in enumerate(documents):
+        if (
+            found[position] is None
+            and document._answer_cache is not None
+            and document._snapshot_store is not None
+        ):
+            found[position] = document._spilled_answers(compiled, engine)
+    return found
+
+
+def lookup_cost(document: Document, answers) -> dict:
+    """The answer-cache fields of one document's cost block after a bulk lookup.
+
+    What a :class:`CostMeter` around :meth:`Document.cached_answers` would
+    count, given what :func:`cached_answers_many` found for the document:
+    packed answers (a memory hit), a frozenset (a spill hit) or ``None``.
+    """
+    if document._answer_cache is None:
+        return {}
+    spilled = isinstance(answers, frozenset)
+    hit = answers is not None and not spilled
+    counts = {"answer_cache_hits": int(hit), "answer_cache_misses": int(not hit)}
+    if document._snapshot_store is not None:
+        counts["snapshot_hits"] = int(spilled)
+    return counts
+
+
+def remember_answers_many(
+    documents: Sequence[Document], compiled: Query, engine: str, packed: Sequence
+) -> None:
+    """:meth:`Document.remember_answers` for many documents and one query.
+
+    ``packed`` holds each document's answers as
+    :class:`repro.corpus.cache.PackedAnswers`; one
+    :meth:`repro.corpus.cache.AnswerCache.put_many` per cache stores them.
+    Documents with a snapshot store still spill one by one.
+    """
+    query = (compiled.plan_text, compiled.variables, engine)
+    for cache, positions in _by_cache(documents):
+        cache.put_many(
+            query, [(documents[position]._cache_owner, packed[position]) for position in positions]
+        )
+    for document, answers in zip(documents, packed):
+        if document._answer_cache is not None and document._snapshot_store is not None:
+            document._spill(compiled, engine, answers.unpack())
+
+
 class CostMeter:
     """Before-counters for one evaluation's cost block.
 
@@ -457,6 +567,18 @@ class CostMeter:
 
     __slots__ = (
         "_tree", "_answer_cache", "_snapshot_store", "_ops", "_matrix", "_answer", "_snapshot",
+    )
+
+    #: The integer fields metered over the tree, in cost-block order: what
+    #: an evaluation that ran nothing (an answer-cache hit) counts as 0.
+    TREE_FIELDS = (
+        "compose_ops",
+        "row_union_ops",
+        "relations_built",
+        "set_steps",
+        "matrix_bytes",
+        "matrix_cache_hits",
+        "matrix_cache_misses",
     )
 
     def __init__(self, tree, answer_cache=None, snapshot_store=None) -> None:

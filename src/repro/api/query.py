@@ -318,7 +318,7 @@ def _build_query(
     hcl: Optional[HclExpr] = None
     if not violations:
         with _trace.span("translate", target="hcl"):
-            hcl = ppl_to_hcl(parsed)
+            hcl = ppl_to_hcl(parsed, violations)
 
     pplbin: Optional[BinExpr] = None
     if is_variable_free(parsed):

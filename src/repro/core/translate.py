@@ -24,22 +24,32 @@ the expansion factors.
 
 from __future__ import annotations
 
-from repro.errors import TranslationError
+from typing import Optional, Sequence
+
+from repro.errors import RestrictionViolation, TranslationError
 from repro.xpath import ast as x
 from repro.pplbin import translate as pb_translate
 from repro.pplbin.ast import BinExpr, BStep, SelfStep, nodes_query
 from repro.pplbin.translate import from_core_xpath
 from repro.hcl.ast import HclExpr, HCompose, HFilter, HUnion, HVar, Leaf
-from repro.core.ppl import check_ppl
+from repro.core.ppl import Violation, check_ppl
 
 
-def ppl_to_hcl(expression: x.PathExpr) -> HclExpr:
+def ppl_to_hcl(
+    expression: x.PathExpr, violations: Optional[Sequence[Violation]] = None
+) -> HclExpr:
     """Translate a PPL path expression into HCL⁻(PPLbin) (Fig. 7).
 
     The expression is checked against Definition 1 first; a
     :class:`repro.errors.RestrictionViolation` is raised when it is not PPL.
+    A caller that has already listed the expression's ``violations``
+    passes them, and the check reads that list instead of walking the
+    expression again.
     """
-    check_ppl(expression)
+    if violations is None:
+        check_ppl(expression)
+    elif violations:
+        raise RestrictionViolation(violations[0].condition, violations[0].message)
     return _translate_path(expression)
 
 

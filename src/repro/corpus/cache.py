@@ -23,6 +23,10 @@ entry counts:
   puts one entry per document for each query, and a group holds them in
   one small dict rather than one LRU node and key tuple each, which is
   most of an entry's footprint when answer sets are small;
+* a corpus pass reads and writes one query's entries for all its
+  documents under one lock hold (:meth:`AnswerCache.get_many`,
+  :meth:`AnswerCache.put_many`), with the counters and recency that
+  per-key calls would leave;
 * the budget is enforced by least-recently-used eviction over each entry's
   resident bytes: the least recently used entry of the least recently used
   query goes first;
@@ -38,11 +42,12 @@ documents can never serve stale answers.
 from __future__ import annotations
 
 import itertools
+import struct
 import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -67,6 +72,18 @@ class PackedAnswers(bytes):
             rows = rows[np.lexsort(rows.T[::-1])]
         return cls(np.array([width, count], dtype=np.int32).tobytes() + rows.tobytes())
 
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> "PackedAnswers":
+        """Pack int32 rows that are already distinct and in lexicographic order.
+
+        The bytes equal :meth:`pack` of the rows' answer set: a corpus pass
+        packs each document's slice of Fig. 8's table
+        (:meth:`repro.hcl.answering.HclAnswerer.run_table`) this way.
+        """
+        count, width = rows.shape
+        header = np.array([width if count else 0, count], dtype=np.int32)
+        return cls(header.tobytes() + rows.tobytes())
+
     @property
     def nbytes(self) -> int:
         """Resident bytes of the packed rows, header and object included."""
@@ -74,11 +91,13 @@ class PackedAnswers(bytes):
 
     def unpack(self) -> frozenset:
         """Rebuild the answer set."""
-        width, count = np.frombuffer(self, dtype=np.int32, count=2).tolist()
+        width, count = struct.unpack_from("=ii", self)
         if not width:
             return frozenset({()}) if count else frozenset()
-        rows = np.frombuffer(self, dtype=np.int32, offset=8).reshape(count, width)
-        return frozenset(map(tuple, rows.tolist()))
+        # One flat list of the row entries, zipped ``width`` at a time into
+        # tuples: no per-row numpy call.
+        entries = iter(memoryview(self)[8:].cast("i").tolist())
+        return frozenset(zip(*[entries] * width))
 
 
 def estimate_answer_bytes(answers: frozenset) -> int:
@@ -165,47 +184,74 @@ class AnswerCache:
 
         An answer set comes back as a new frozenset equal to the one put.
         """
-        query, owner = key[1:], key[0]
         with self._lock:
-            group = self._groups.get(query)
-            value = None if group is None else group.pop(owner, None)
-            if value is None:
-                self._misses += 1
-                return None
-            group[owner] = value
-            self._groups.move_to_end(query)
-            self._hits += 1
+            value = self._get_locked(key[1:], key[0])
         return value.unpack() if isinstance(value, PackedAnswers) else value
+
+    def get_many(self, query: tuple, owners: Sequence[Hashable]) -> list:
+        """The entries of ``query`` for each of ``owners``, under one lock hold.
+
+        ``query`` is a key without its owner.  Hits, misses and recency
+        change exactly as ``get((owner, *query))`` for each owner in turn
+        would change them, but entries come back as stored (answer sets as
+        :class:`PackedAnswers`), ``None`` for a miss.
+        """
+        with self._lock:
+            return [self._get_locked(query, owner) for owner in owners]
+
+    def _get_locked(self, query: tuple, owner: Hashable):
+        group = self._groups.get(query)
+        value = None if group is None else group.pop(owner, None)
+        if value is None:
+            self._misses += 1
+            return None
+        group[owner] = value
+        self._groups.move_to_end(query)
+        self._hits += 1
+        return value
 
     def put(self, key: tuple, answers) -> None:
         """Insert an entry (answer set or packed matrix), evicting LRU to budget."""
         if isinstance(answers, frozenset):
             answers = PackedAnswers.pack(answers)
         cost = estimate_entry_bytes(answers)
-        query, owner = key[1:], key[0]
         with self._lock:
-            if self.max_bytes is not None and cost > self.max_bytes:
-                return
-            group = self._groups.get(query)
-            if group is None:
-                group = self._groups[query] = {}
-            else:
-                self._groups.move_to_end(query)
-            previous = group.pop(owner, None)
-            if previous is not None:
-                self._bytes -= estimate_entry_bytes(previous)
-                self._count -= 1
-            group[owner] = answers
-            self._bytes += cost
-            self._count += 1
-            self._insertions += 1
-            while self.max_bytes is not None and self._bytes > self.max_bytes:
-                oldest, victims = next(iter(self._groups.items()))
-                self._bytes -= estimate_entry_bytes(victims.pop(next(iter(victims))))
-                self._count -= 1
-                self._evictions += 1
-                if not victims:
-                    del self._groups[oldest]
+            self._put_locked(key[1:], key[0], answers, cost)
+
+    def put_many(self, query: tuple, entries: Sequence[tuple[Hashable, PackedAnswers]]) -> None:
+        """Insert ``(owner, packed answers)`` entries of ``query`` under one lock hold.
+
+        The cache ends up exactly as after ``put((owner, *query), packed)``
+        for each entry in turn: the same insertions, evictions and bytes.
+        """
+        costs = [estimate_entry_bytes(packed) for _, packed in entries]
+        with self._lock:
+            for (owner, packed), cost in zip(entries, costs):
+                self._put_locked(query, owner, packed, cost)
+
+    def _put_locked(self, query: tuple, owner: Hashable, answers, cost: int) -> None:
+        if self.max_bytes is not None and cost > self.max_bytes:
+            return
+        group = self._groups.get(query)
+        if group is None:
+            group = self._groups[query] = {}
+        else:
+            self._groups.move_to_end(query)
+        previous = group.pop(owner, None)
+        if previous is not None:
+            self._bytes -= estimate_entry_bytes(previous)
+            self._count -= 1
+        group[owner] = answers
+        self._bytes += cost
+        self._count += 1
+        self._insertions += 1
+        while self.max_bytes is not None and self._bytes > self.max_bytes:
+            oldest, victims = next(iter(self._groups.items()))
+            self._bytes -= estimate_entry_bytes(victims.pop(next(iter(victims))))
+            self._count -= 1
+            self._evictions += 1
+            if not victims:
+                del self._groups[oldest]
 
     def drop_owner(self, owner: Hashable) -> int:
         """Remove every entry whose key starts with ``owner``; return the count.

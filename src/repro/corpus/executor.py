@@ -86,15 +86,25 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from repro import faults
 from repro._config import UNSET as _UNSET
 from repro.core.engine import QueryReport
-from repro.api.document import BatchItem, CostMeter, Document, iter_batch
+from repro.api.document import (
+    BatchItem,
+    CostMeter,
+    Document,
+    cached_answers_many,
+    iter_batch,
+    lookup_cost,
+    remember_answers_many,
+    report_fields,
+)
 from repro.api.query import PlanMemo, Query, compile_query
 from repro.api.registry import DEFAULT_ENGINE, check_capabilities, get_engine
+from repro.corpus.cache import PackedAnswers
 from repro.corpus.store import CorpusError, DocumentStore, StoreStats
 from repro.errors import DocumentQuarantinedError, ReproError
 from repro.hcl.answering import forest_safe, plan_for
@@ -283,16 +293,14 @@ def _worker_query(text: str, variables: tuple[str, ...]) -> Query:
     return query
 
 
-#: One (document, query) result as it ships from wherever it was evaluated.
-Payload = tuple[str, tuple[str, ...], frozenset, QueryReport, float]
-
-
 def _split(total: float, sizes: Sequence[int]) -> list:
     """Split ``total`` in proportion to ``sizes``; integer totals stay exact.
 
     Integers go by largest remainder, so the parts are integers that add up
     to ``total``; floats are plain proportional shares.
     """
+    if not total:
+        return [total] * len(sizes)
     whole = sum(sizes)
     if isinstance(total, float):
         return [total * size / whole for size in sizes]
@@ -303,6 +311,75 @@ def _split(total: float, sizes: Sequence[int]) -> list:
     for index in order[: total - sum(parts)]:
         parts[index] += 1
     return parts
+
+
+def _shares(block: dict, sizes: Sequence[int]) -> list[dict]:
+    """A cost block split over documents in proportion to their sizes."""
+    columns = [_split(value, sizes) for value in block.values()]
+    return [dict(zip(block, parts)) for parts in zip(*columns)]
+
+
+class QueryBooks:
+    """One query's books over the documents that one run answered.
+
+    A *run* is one Fig. 8 run over a forest (or a single tree), one
+    answer-cache lookup for a pass's documents, or one document answered
+    on its own.  The books keep what the run's documents share once: the
+    query's text and variables, and the :class:`QueryReport` fields of
+    :func:`repro.api.document.report_fields` (sizes of the query, engine,
+    kernel, the matrix-cache snapshot and the trace).  Per document they
+    keep only its answers, tree size and share of the cost block.  Answers
+    are a frozenset, or :class:`repro.corpus.cache.PackedAnswers` rows that
+    :meth:`result` unpacks.  A shard worker returns its batch as references
+    into these books, so each pickles once per (shard, query), however
+    many documents it holds.
+    """
+
+    __slots__ = ("text", "variables", "fields", "answers", "sizes", "costs")
+
+    def __init__(self, text, variables, fields, answers, sizes, costs) -> None:
+        self.text = text
+        self.variables = variables
+        self.fields = fields
+        self.answers = answers
+        self.sizes = sizes
+        self.costs = costs
+
+    def __reduce__(self):
+        return (
+            QueryBooks,
+            (self.text, self.variables, self.fields, self.answers, self.sizes, self.costs),
+        )
+
+    def result(self, name: str, position: int) -> CorpusResult:
+        """The :class:`CorpusResult` of the document at ``position``, named ``name``."""
+        answers = self.answers[position]
+        if not isinstance(answers, frozenset):
+            answers = answers.unpack()
+        cost = self.costs[position]
+        report = QueryReport(
+            **self.fields,
+            answer_count=len(answers),
+            tree_size=self.sizes[position],
+            cost=cost,
+        )
+        return CorpusResult(
+            doc_name=name,
+            report=report,
+            query=self.text,
+            variables=self.variables,
+            answers=answers,
+            seconds=cost["seconds"],
+        )
+
+
+#: One document's results as they ship from wherever it was evaluated: one
+#: ``(books, position)`` reference per query.
+Payload = list[tuple[QueryBooks, int]]
+
+
+def _results(name: str, payload: Payload) -> list[CorpusResult]:
+    return [books.result(name, position) for books, position in payload]
 
 
 class _ForestCache:
@@ -352,6 +429,12 @@ def _forest_plan(query: Query, engine: str):
     return plan if forest_safe(plan) else None
 
 
+#: One run's books: the :class:`QueryBooks`, the entry index of each of
+#: its positions, and the run's integer cost totals for the labelled
+#: counters.
+Run = tuple[QueryBooks, list[int], dict]
+
+
 def _evaluate_documents(
     entries: Sequence[tuple[str, Document]],
     queries: Sequence[Query],
@@ -369,18 +452,23 @@ def _evaluate_documents(
     path is what makes "byte-identical answers across strategies" a
     structural property rather than a test assertion.
 
-    Returns one outcome per entry: the document's list of
-    ``(text, variables, answers, report, seconds)`` payloads, one per query,
-    or the exception that ended its attempt.  With ``forests`` and more than
-    one document, each query the forest can take (:func:`_forest_plan`)
-    runs Fig. 8 once over the forest of the documents its answer cache
-    misses; the rest answer one document at a time.  The :mod:`repro.faults`
-    points bracket each document: ``worker_crash``/``slow_query`` fire
-    before the first evaluation (where an arriving dispatch would die),
-    ``pickle_error`` after the last (where result marshalling would).
+    Returns one outcome per entry: the document's :data:`Payload`, one
+    ``(books, position)`` reference per query, or the exception that ended
+    its attempt.  The books are kept once per query and run
+    (:class:`QueryBooks`), not once per document.  With ``forests`` and
+    more than one document, each query the forest can take
+    (:func:`_forest_plan`) costs one answer-cache round trip each way and
+    one Fig. 8 run under one cost meter (:func:`_answer_forest`); the rest
+    answer one document at a time.  Either way each query ends with one
+    histogram lock hold, which still records one observation per
+    (document, query), and one ``observe_cost`` of the query's totals.
+    The :mod:`repro.faults` points bracket each document:
+    ``worker_crash``/``slow_query`` fire before the first evaluation (where
+    an arriving dispatch would die), ``pickle_error`` after the last (where
+    result marshalling would).
     """
     outcomes: list = [None] * len(entries)
-    rows: dict[int, list] = {}
+    refs: dict[int, Payload] = {}
     for index, (name, _) in enumerate(entries):
         try:
             faults.trip("worker_crash", key=name, site=site)
@@ -388,32 +476,18 @@ def _evaluate_documents(
         except Exception as error:  # noqa: BLE001 — ends this document's attempt
             outcomes[index] = error
         else:
-            rows[index] = []
+            refs[index] = []
     histogram = registry.histogram(
         EVAL_HISTOGRAM, _EVAL_HELP, labels={"engine": engine, "strategy": strategy}
     )
-
-    def record(index: int, query: Query, answers, cost: dict, elapsed: float, trace_tree):
-        document = entries[index][1]
-        histogram.observe(elapsed)
-        report = document.report(query, engine=engine, answers=answers)
-        changes: dict = {"cost": cost}
-        if report.trace is None and trace_tree is not None:
-            changes["trace"] = trace_tree
-        observe_cost(registry, cost, engine=engine, strategy=strategy)
-        text, variables = _query_spec(query)
-        rows[index].append(
-            (text, variables, answers, dataclass_replace(report, **changes), elapsed)
-        )
-
     for query in queries:
-        alone = list(rows)
+        text, variables = _query_spec(query)
+        alone = list(refs)
         plan = _forest_plan(query, engine) if forests is not None and len(alone) > 1 else None
+        runs: list[Run] = []
         if plan is not None:
-            alone = _answer_forest(entries, alone, query, plan, forests, record)
+            runs, alone = _answer_forest(entries, alone, query, plan, forests, engine)
         for index in alone:
-            if index not in rows:
-                continue
             document = entries[index][1]
             if _trace.enabled():
                 _trace.take_last_trace()
@@ -424,10 +498,31 @@ def _evaluate_documents(
                 elapsed = time.perf_counter() - started
             except Exception as error:  # noqa: BLE001 — ends this document's attempt
                 outcomes[index] = error
-                del rows[index]
+                del refs[index]
                 continue
-            record(index, query, answers, meter.finish(elapsed), elapsed, _trace.take_last_trace())
-    for index, payload in rows.items():
+            cost = meter.finish(elapsed)
+            fields = report_fields(
+                query,
+                engine,
+                document.oracle.kernel.name,
+                document.tree.matrix_cache().stats.to_dict(),
+                _trace.take_last_trace(),
+            )
+            books = QueryBooks(text, variables, fields, [answers], [document.tree.size], [cost])
+            runs.append((books, [index], cost))
+        if not runs:
+            continue
+        seconds = []
+        for books, indices, _ in runs:
+            for position, index in enumerate(indices):
+                refs[index].append((books, position))
+            seconds.extend(cost["seconds"] for cost in books.costs)
+        histogram.observe_many(seconds)
+        totals = runs[0][2] if len(runs) == 1 else {
+            field: sum(run[2].get(field, 0) for run in runs) for field in COST_COUNTERS
+        }
+        observe_cost(registry, totals, engine=engine, strategy=strategy)
+    for index, payload in refs.items():
         try:
             faults.trip("pickle_error", key=entries[index][0], site=site)
         except Exception as error:  # noqa: BLE001 — ends this document's attempt
@@ -437,55 +532,102 @@ def _evaluate_documents(
     return outcomes
 
 
-def _answer_forest(entries, indices, query: Query, plan, forests: _ForestCache, record) -> list:
-    """One Fig. 8 run of ``plan`` over the documents whose cache misses.
+def _answer_forest(
+    entries, indices, query: Query, plan, forests: _ForestCache, engine: str
+) -> tuple[list[Run], list[int]]:
+    """One answer-cache round trip each way and one Fig. 8 run for ``query``.
 
-    Answer-cache and spill hits are recorded as they are; the misses share
-    one forest run (a lone miss runs on its own tree, a forest of one),
-    whose time and counters are split over them by size.  Returns the
-    indices left for the per-document path: the misses, if the run failed.
+    All the documents are looked up at once (one lock hold per answer
+    cache).  The misses share one Fig. 8 run under one cost meter: over
+    the misses alone, or, when they are the majority, over the forest of
+    all the documents — the forest the pass's other queries reuse — with
+    the hits' rows dropped.  A lone miss runs on its own tree.  Each miss's
+    rows are packed straight from the run's int table, stored with one
+    bulk put, and the run's cost block is split over the misses by size,
+    the lookup's time over every document.  Returns the runs kept (the
+    hits' books and the forest run's) and the indices left for the
+    per-document path: the misses, if the run failed.
     """
-    engine = "polynomial"  # the cache key names the backend, not an alias
-    misses = []
-    for index in indices:
-        document = entries[index][1]
-        meter = document.cost_meter()
-        started = time.perf_counter()
-        answers = document.cached_answers(query, engine)
-        elapsed = time.perf_counter() - started
-        if answers is not None:
-            record(index, query, answers, meter.finish(elapsed), elapsed, None)
-        else:
-            misses.append((index, meter.finish(elapsed), elapsed))
+    backend = "polynomial"  # the cache key names the backend, not an alias
+    documents = [entries[index][1] for index in indices]
+    sizes = [document.tree.size for document in documents]
+    text, variables = _query_spec(query)
+    started = time.perf_counter()
+    found = cached_answers_many(documents, query, backend)
+    lookup = _split(time.perf_counter() - started, sizes)
+    counts = [lookup_cost(document, answers) for document, answers in zip(documents, found)]
+    hits = [position for position, answers in enumerate(found) if answers is not None]
+    misses = [position for position, answers in enumerate(found) if answers is None]
+    runs: list[Run] = []
+    if hits:
+        idle = dict.fromkeys(CostMeter.TREE_FIELDS, 0)
+        first = documents[hits[0]]
+        fields = report_fields(
+            query,
+            engine,
+            first.oracle.kernel.name,
+            first.tree.matrix_cache().stats.to_dict(),
+            None,
+        )
+        costs = [
+            {"seconds": lookup[position], **idle, "forest_documents": 1, **counts[position]}
+            for position in hits
+        ]
+        books = QueryBooks(
+            text, variables, fields, [found[position] for position in hits],
+            [sizes[position] for position in hits], costs,
+        )
+        runs.append((books, [indices[position] for position in hits], _totals({}, counts, hits)))
     if not misses:
-        return []
-    documents = [entries[index][1] for index, _, _ in misses]
+        return runs, []
+    # Over the whole forest when most documents miss: it is the one the
+    # pass's other queries run over too, so it is built once per pass.
+    covered = range(len(documents)) if 2 * len(misses) > len(documents) else misses
+    run = [documents[position] for position in covered]
     if _trace.enabled():
         _trace.take_last_trace()
     started = time.perf_counter()
     try:
-        with _trace.span("corpus.forest.answer", documents=len(documents)):
-            if len(documents) == 1:
-                forest, answerer = documents[0].tree, documents[0].answerer
+        with _trace.span("corpus.forest.answer", documents=len(run)):
+            if len(run) == 1:
+                space, answerer = run[0].tree, run[0].answerer
             else:
-                forest = forests.get(documents)
-                answerer = forest.answerer()
-            meter = CostMeter(forest)
-            answer_sets = answerer.run_documents(plan)
+                space = forests.get(run)
+                answerer = space.answerer()
+            meter = CostMeter(space)
+            table, bounds = answerer.run_table(plan)
     except Exception:  # noqa: BLE001 — each document then answers (or fails) alone
-        return [index for index, _, _ in misses]
+        return runs, [indices[position] for position in misses]
     block = meter.finish(time.perf_counter() - started)
     trace_tree = _trace.take_last_trace()
     del block["forest_documents"]
-    sizes = [document.tree.size for document in documents]
-    shares = {key: _split(value, sizes) for key, value in block.items()}
-    for position, ((index, cost, _), answers) in enumerate(zip(misses, answer_sets)):
-        documents[position].remember_answers(query, engine, answers)
-        for key, parts in shares.items():
-            cost[key] += parts[position]
-        cost["forest_documents"] = len(documents)
-        record(index, query, answers, cost, cost["seconds"], trace_tree)
-    return []
+    row_of = {position: slot for slot, position in enumerate(covered)}
+    packed = [
+        PackedAnswers.from_rows(table[bounds[row_of[position]] : bounds[row_of[position] + 1]])
+        for position in misses
+    ]
+    missed = [documents[position] for position in misses]
+    remember_answers_many(missed, query, backend, packed)
+    costs = _shares(block, [sizes[position] for position in misses])
+    for cost, position in zip(costs, misses):
+        cost["seconds"] += lookup[position]
+        cost["forest_documents"] = len(run)
+        cost.update(counts[position])
+    fields = report_fields(
+        query, engine, run[0].oracle.kernel.name, space.matrix_cache().stats.to_dict(), trace_tree
+    )
+    books = QueryBooks(text, variables, fields, packed, [sizes[p] for p in misses], costs)
+    runs.append((books, [indices[position] for position in misses], _totals(block, counts, misses)))
+    return runs, []
+
+
+def _totals(block: dict, counts: Sequence[dict], positions: Sequence[int]) -> dict:
+    """A run's integer totals: its metered block plus its documents' lookup counts."""
+    totals = {field: value for field, value in block.items() if field in COST_COUNTERS}
+    for position in positions:
+        for field, value in counts[position].items():
+            totals[field] = totals.get(field, 0) + value
+    return totals
 
 
 def _evaluate_document(
@@ -497,7 +639,7 @@ def _evaluate_document(
     *,
     site: str,
     key: str,
-) -> list[Payload]:
+) -> Payload:
     """Answer every query on one document: the loop above for one entry."""
     (outcome,) = _evaluate_documents(
         [(key, document)], queries, engine, registry, strategy, site=site
@@ -1264,19 +1406,7 @@ class CorpusExecutor:
                     else:
                         outer.set_result(records)
                     return
-                outer.set_result(
-                    [
-                        CorpusResult(
-                            doc_name=name,
-                            report=report,
-                            query=text,
-                            variables=variables,
-                            answers=answers,
-                            seconds=elapsed,
-                        )
-                        for text, variables, answers, report, elapsed in finished.result()
-                    ]
-                )
+                outer.set_result(_results(name, finished.result()))
 
             outer.add_done_callback(_forward_cancel)
             inner.add_done_callback(_chain)
@@ -1631,15 +1761,7 @@ class CorpusExecutor:
                 raise
             yield from records
             return
-        for text, variables, answers, report, elapsed in payload:
-            yield CorpusResult(
-                doc_name=name,
-                report=report,
-                query=text,
-                variables=variables,
-                answers=answers,
-                seconds=elapsed,
-            )
+        yield from _results(name, payload)
 
     # --------------------------------------------------------------- processes
     def _shard_count(self, total: int) -> int:
@@ -1874,19 +1996,8 @@ class CorpusExecutor:
                         )
                         futures.update(zip(indices, batch))
 
-            def unpack(index: int, payload) -> list[CorpusResult]:
-                name = names[index]
-                return [
-                    CorpusResult(
-                        doc_name=name,
-                        report=report,
-                        query=text,
-                        variables=variables,
-                        answers=answers,
-                        seconds=elapsed,
-                    )
-                    for text, variables, answers, report, elapsed in payload
-                ]
+            def unpack(index: int, payload: Payload) -> list[CorpusResult]:
+                return _results(names[index], payload)
 
             def on_error(index: int, error: BaseException) -> list[CorpusResult]:
                 records = self._document_error_records(

@@ -226,6 +226,27 @@ class HclAnswerer:
         Returns one answer set per document, in document order, each over
         that document's own node ids (a plain tree is one document).
         """
+        return self._by_document(plan, self._root_rows(plan))
+
+    def run_table(self, plan: Fig8Plan) -> tuple[np.ndarray, list[int]]:
+        """Answer a compiled plan on every document, as one int32 table.
+
+        Returns ``(rows, bounds)``: the answer tuples of document ``i`` are
+        ``rows[bounds[i]:bounds[i + 1]]``, over that document's own node
+        ids, distinct and in lexicographic order.  These are the rows
+        :meth:`repro.corpus.cache.PackedAnswers.pack` makes of the
+        document's answer set, so a corpus pass packs, caches and ships
+        them without building a frozenset per document.
+        """
+        arrays = tree_arrays(self.tree)
+        owner, local = self._owned(plan, self._root_rows(plan), arrays)
+        order = np.lexsort((*local.T[::-1], owner))
+        owner, local = owner[order], local[order]
+        bounds = np.append(np.searchsorted(owner, arrays.roots), len(local))
+        return local.astype(np.int32), bounds.tolist()
+
+    def _root_rows(self, plan: Fig8Plan) -> np.ndarray:
+        """The root instruction's valuation table (document root first)."""
         size = self.tree.size
         root = tree_arrays(self.tree).root
         table = MCTable(self.tree, plan, None, self._setwise)
@@ -293,21 +314,29 @@ class HclAnswerer:
                 found[:, 0] = root[found[:, 0]]
                 found = _distinct(found, size)
             tables.append(found)
-        return self._by_document(plan, tables[plan.root])
+        return tables[plan.root]
+
+    def _owned(
+        self, plan: Fig8Plan, rows: np.ndarray, arrays
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The root's rows as output tuples: ``(document root, local tuple)`` columns."""
+        missing, layout = plan.final
+        size = self.tree.size
+        rows = _expand(_extend(_distinct(rows, size), missing), arrays.end, size)
+        owner = rows[:, 0]
+        return owner, rows[:, 1:][:, layout] - owner[:, None]
 
     def _by_document(
         self, plan: Fig8Plan, rows: np.ndarray
     ) -> list[frozenset[tuple[int, ...]]]:
         """Split the root's rows (document root first) into per-document sets."""
         arrays = tree_arrays(self.tree)
-        missing, layout = plan.final
-        size = self.tree.size
-        rows = _expand(_extend(_distinct(rows, size), missing), arrays.end, size)
+        owner, local = self._owned(plan, rows, arrays)
         roots = arrays.roots
         if roots.size > 1:
-            rows = rows[np.argsort(rows[:, 0], kind="stable")]
-        owner = rows[:, 0]
-        local = (rows[:, 1:][:, layout] - owner[:, None]).tolist()
+            order = np.argsort(owner, kind="stable")
+            owner, local = owner[order], local[order]
+        local = local.tolist()
         bounds = np.append(np.searchsorted(owner, roots), len(local)).tolist()
         return [
             frozenset(map(tuple, local[low:high]))

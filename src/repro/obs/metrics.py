@@ -244,6 +244,22 @@ class Histogram:
             if self._max is None or value > self._max:
                 self._max = value
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Record each of ``values`` as :meth:`observe` would, under one lock hold."""
+        if not values:
+            return
+        indices = [self._bucket_index(value) for value in values]
+        low, high = min(values), max(values)
+        with self._lock:
+            for index, value in zip(indices, values):
+                self._counts[index] += 1
+                self._sum += value
+            self._count += len(values)
+            if self._min is None or low < self._min:
+                self._min = low
+            if self._max is None or high > self._max:
+                self._max = high
+
     # ----------------------------------------------------------- inspection
     @property
     def count(self) -> int:

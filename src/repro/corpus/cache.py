@@ -47,9 +47,13 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
+
+
+#: The two int32 header words of a packed answer set: width, then count.
+_HEADER = struct.Struct("=ii")
 
 
 class PackedAnswers(bytes):
@@ -73,16 +77,26 @@ class PackedAnswers(bytes):
         return cls(np.array([width, count], dtype=np.int32).tobytes() + rows.tobytes())
 
     @classmethod
-    def from_rows(cls, rows: np.ndarray) -> "PackedAnswers":
-        """Pack int32 rows that are already distinct and in lexicographic order.
+    def from_table(
+        cls, rows: np.ndarray, bounds: Sequence[int], documents: Iterable[int]
+    ) -> list["PackedAnswers"]:
+        """Pack ``rows[bounds[i]:bounds[i + 1]]`` for each document ``i`` of ``documents``.
 
-        The bytes equal :meth:`pack` of the rows' answer set: a corpus pass
-        packs each document's slice of Fig. 8's table
-        (:meth:`repro.hcl.answering.HclAnswerer.run_table`) this way.
+        ``rows`` is an int32 table whose slices are already distinct and in
+        lexicographic order, as
+        :meth:`repro.hcl.answering.HclAnswerer.run_table` returns them; each
+        packed slice equals :meth:`pack` of its answer set, byte for byte.
         """
-        count, width = rows.shape
-        header = np.array([width if count else 0, count], dtype=np.int32)
-        return cls(header.tobytes() + rows.tobytes())
+        width = rows.shape[1]
+        step = 4 * width
+        data = rows.tobytes()
+        packed = []
+        for document in documents:
+            low, high = bounds[document], bounds[document + 1]
+            count = high - low
+            header = _HEADER.pack(width if count else 0, count)
+            packed.append(cls(header + data[low * step : high * step]))
+        return packed
 
     @property
     def nbytes(self) -> int:
@@ -91,7 +105,7 @@ class PackedAnswers(bytes):
 
     def unpack(self) -> frozenset:
         """Rebuild the answer set."""
-        width, count = struct.unpack_from("=ii", self)
+        width, count = _HEADER.unpack_from(self)
         if not width:
             return frozenset({()}) if count else frozenset()
         # One flat list of the row entries, zipped ``width`` at a time into

@@ -305,18 +305,11 @@ def _split(total: float, sizes: Sequence[int]) -> list:
     if isinstance(total, float):
         return [total * size / whole for size in sizes]
     parts = [total * size // whole for size in sizes]
-    order = sorted(
-        range(len(sizes)), key=lambda index: (total * sizes[index]) % whole, reverse=True
-    )
+    remainders = [total * size % whole for size in sizes]
+    order = sorted(range(len(sizes)), key=remainders.__getitem__, reverse=True)
     for index in order[: total - sum(parts)]:
         parts[index] += 1
     return parts
-
-
-def _shares(block: dict, sizes: Sequence[int]) -> list[dict]:
-    """A cost block split over documents in proportion to their sizes."""
-    columns = [_split(value, sizes) for value in block.values()]
-    return [dict(zip(block, parts)) for parts in zip(*columns)]
 
 
 class QueryBooks:
@@ -357,20 +350,41 @@ class QueryBooks:
         if not isinstance(answers, frozenset):
             answers = answers.unpack()
         cost = self.costs[position]
-        report = QueryReport(
-            **self.fields,
-            answer_count=len(answers),
-            tree_size=self.sizes[position],
-            cost=cost,
+        report = _frozen(
+            QueryReport,
+            {
+                **self.fields,
+                "answer_count": len(answers),
+                "tree_size": self.sizes[position],
+                "cost": cost,
+            },
         )
-        return CorpusResult(
-            doc_name=name,
-            report=report,
-            query=self.text,
-            variables=self.variables,
-            answers=answers,
-            seconds=cost["seconds"],
+        return _frozen(
+            CorpusResult,
+            {
+                "doc_name": name,
+                "report": report,
+                "query": self.text,
+                "variables": self.variables,
+                "answers": answers,
+                "seconds": cost["seconds"],
+                "error": None,
+                "error_kind": None,
+            },
         )
+
+
+def _frozen(cls, values: dict):
+    """An instance of the frozen dataclass ``cls`` whose fields are ``values``.
+
+    Equal to ``cls(**values)`` when ``values`` names every field and ``cls``
+    has no ``__post_init__``, without the generated ``__init__``, which
+    pays one guarded ``object.__setattr__`` per field: a pass builds two
+    such values per (document, query).
+    """
+    instance = object.__new__(cls)
+    object.__setattr__(instance, "__dict__", values)
+    return instance
 
 
 #: One document's results as they ship from wherever it was evaluated: one
@@ -602,21 +616,21 @@ def _answer_forest(
     trace_tree = _trace.take_last_trace()
     del block["forest_documents"]
     row_of = {position: slot for slot, position in enumerate(covered)}
-    packed = [
-        PackedAnswers.from_rows(table[bounds[row_of[position]] : bounds[row_of[position] + 1]])
-        for position in misses
+    packed = PackedAnswers.from_table(table, bounds, [row_of[position] for position in misses])
+    remember_answers_many([documents[position] for position in misses], query, backend, packed)
+    # Each miss's cost: its share of the run by size, plus its lookup.
+    missed = [sizes[position] for position in misses]
+    seconds = _split(block.pop("seconds"), missed)
+    keys = ("seconds", *block, "forest_documents")
+    columns = zip(*[_split(value, missed) for value in block.values()])
+    costs = [
+        dict(zip(keys, (seconds[slot] + lookup[position], *parts, len(run))), **counts[position])
+        for slot, (position, parts) in enumerate(zip(misses, columns))
     ]
-    missed = [documents[position] for position in misses]
-    remember_answers_many(missed, query, backend, packed)
-    costs = _shares(block, [sizes[position] for position in misses])
-    for cost, position in zip(costs, misses):
-        cost["seconds"] += lookup[position]
-        cost["forest_documents"] = len(run)
-        cost.update(counts[position])
     fields = report_fields(
         query, engine, run[0].oracle.kernel.name, space.matrix_cache().stats.to_dict(), trace_tree
     )
-    books = QueryBooks(text, variables, fields, packed, [sizes[p] for p in misses], costs)
+    books = QueryBooks(text, variables, fields, packed, missed, costs)
     runs.append((books, [indices[position] for position in misses], _totals(block, counts, misses)))
     return runs, []
 

@@ -3,7 +3,7 @@
 * Bulk answer-cache operations (:meth:`AnswerCache.get_many`,
   :meth:`AnswerCache.put_many`) leave the cache exactly as the same
   per-key calls would, and rows packed straight from Fig. 8's int table
-  (:meth:`HclAnswerer.run_table`, :meth:`PackedAnswers.from_rows`) are
+  (:meth:`HclAnswerer.run_table`, :meth:`PackedAnswers.from_table`) are
   byte-identical to packing the answer set.
 * :meth:`Histogram.observe_many` records what one ``observe`` per value
   would.
@@ -111,13 +111,13 @@ def test_rows_packed_from_the_int_table_equal_packed_answer_sets():
         table, bounds = answerer.run_table(plan)
         expected = answerer.run_documents(plan)
         assert len(bounds) == len(sizes) + 1
+        packed = PackedAnswers.from_table(table, bounds, range(len(sizes)))
         for index, answers in enumerate(expected):
-            packed = PackedAnswers.from_rows(table[bounds[index] : bounds[index + 1]])
-            assert bytes(packed) == bytes(PackedAnswers.pack(answers)), (text, index)
-            assert packed.unpack() == answers
+            assert bytes(packed[index]) == bytes(PackedAnswers.pack(answers)), (text, index)
+            assert packed[index].unpack() == answers
     # An empty answer set packs to the same bytes whatever its arity.
     for width in (0, 1, 3):
-        empty = PackedAnswers.from_rows(np.zeros((0, width), dtype=np.int32))
+        (empty,) = PackedAnswers.from_table(np.zeros((0, width), dtype=np.int32), [0, 0], [0])
         assert bytes(empty) == bytes(PackedAnswers.pack(frozenset()))
 
 

@@ -46,7 +46,12 @@ class QueryReport:
     block (evaluation seconds, compose/row-union op counts, matrix bytes
     allocated, matrix/answer-cache hits and misses, snapshot hit) collected
     by :meth:`repro.api.Document.report`; the corpus and serving layers
-    aggregate it into labelled metrics and per-client totals.
+    aggregate it into labelled metrics and per-client totals.  A corpus
+    pass meters each Fig. 8 run once and gives each document its share:
+    seconds and counters in proportion to its node count (integers by
+    largest remainder, so they add up to the run's), its own answer-cache
+    hit or miss, and ``forest_documents``, the documents the run covered;
+    ``matrix_cache`` and ``trace`` are then the run's.
     """
 
     expression_size: int

@@ -31,17 +31,31 @@ are split back per document (:func:`_evaluate_documents`).  Under
 ``"processes"`` each shard whose worker has answered before receives one
 batch job per pass, and the worker does this over the documents it holds
 (a fresh or respawned worker gets per-document jobs); under ``"serial"``
-the parent does it over the store's resident set.  A (document, query) pair takes the
-per-document path instead when the document is not resident (the forest
-never forces a load), when its answer is cached or spilled, when the plan
-has an ``except`` leaf (the Theorem 2 relation would be quadratic in the
-whole forest), or when the engine is not ``polynomial``.
-``submit_document`` and the degraded fallback stay one document per task.
-Everything per document stays: one :class:`CorpusResult` and
-:class:`repro.api.QueryReport` per pair, answer-cache entries under the
-same keys, fault points per document key.  ``seconds`` and the cost block
-split the forest run's time and counters in proportion to document size,
-and ``cost["forest_documents"]`` says how many documents shared the run.
+the parent does it over the store's resident set.  One answer-cache lookup
+per query covers all of them; the hits are answered from the cache, and
+the misses share the Fig. 8 run: over the misses alone, or, when most
+documents miss, over the forest of all of them with the hits' rows
+dropped, so the pass's queries reuse one forest.  A (document, query) pair
+takes the per-document path instead when the document is not resident
+(the forest never forces a load), when the plan has an ``except`` leaf
+(the Theorem 2 relation would be quadratic in the whole forest), or when
+the engine is not ``polynomial``.  ``submit_document`` and the degraded
+fallback stay one document per task.
+
+Books
+-----
+The bookkeeping is kept once per (pass, query), or once per (shard, query)
+under ``"processes"``, not once per document: one answer-cache round trip
+each way, one cost meter over the Fig. 8 run, one histogram lock hold and
+one ``observe_cost``, and one set of :class:`QueryReport` fields per run
+(:class:`QueryBooks`).  What users see per document stays: one
+:class:`CorpusResult` and :class:`repro.api.QueryReport` per pair,
+answer-cache entries under the same keys, fault points per document key.
+``seconds`` and the cost block give each document its share of the run's
+time and counters in proportion to its size (integers by largest
+remainder) plus its share of the lookup, ``answer_cache_hits``/``misses``
+say whether its own lookup hit, and ``cost["forest_documents"]`` says how
+many documents the run covered.
 
 Results stream back as :class:`CorpusResult` values — an iterator, not a
 list, so aggregation, early exit and pipelining all work without holding a
@@ -198,6 +212,14 @@ class CorpusResult:
     while the full answer set, timing and query text stay available as
     attributes.
 
+    ``answers`` is a frozenset built before the result is yielded.  The
+    report's ``answer_count``, ``tree_size`` and ``cost`` are this
+    document's own; its other fields (the query's sizes, engine, kernel,
+    ``matrix_cache`` snapshot and ``trace``) are those of the run that
+    answered it, shared by every document of that run: a forest run, the
+    pass's answer-cache lookup, or the document answered on its own (see
+    :class:`QueryBooks`).
+
     Under ``on_error="record"`` (and always for quarantined documents) a
     document whose failure is final yields *error records* instead of
     aborting the stream: one record per query with ``error``/``error_kind``
@@ -337,12 +359,6 @@ class QueryBooks:
         self.answers = answers
         self.sizes = sizes
         self.costs = costs
-
-    def __reduce__(self):
-        return (
-            QueryBooks,
-            (self.text, self.variables, self.fields, self.answers, self.sizes, self.costs),
-        )
 
     def result(self, name: str, position: int) -> CorpusResult:
         """The :class:`CorpusResult` of the document at ``position``, named ``name``."""

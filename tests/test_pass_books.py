@@ -14,7 +14,9 @@
 
 from __future__ import annotations
 
+import pickle
 import random
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ import pytest
 import repro.api.query as api_query
 import repro.core.ppl as core_ppl
 from repro.api.query import compile_query
+from repro.core.engine import QueryReport
 from repro.core.translate import ppl_to_hcl
+from repro.corpus import CorpusResult
 from repro.corpus.cache import AnswerCache, PackedAnswers
 from repro.errors import RestrictionViolation
 from repro.hcl.answering import plan_for
@@ -190,6 +194,30 @@ def test_queries_missing_on_different_documents_build_one_forest_per_pass():
         )
         # Four of six documents miss: the run covers the whole forest.
         assert cost["forest_documents"] == (1 if hit else 6)
+
+
+def test_pass_results_equal_results_built_by_their_constructors():
+    names = [f"doc{index}" for index in range(4)]
+    cold, fresh = (PAIR[0].format(tag="t1"), PAIR[1]), (PAIR[0].format(tag="t2"), PAIR[1])
+    with Session(strategy="processes", max_workers=2) as session:
+        for index, name in enumerate(names):
+            session.add_xml(name, _bibliography(index))
+        list(session.query_corpus([cold]))
+        results = list(session.query_corpus([fresh, cold]))
+    # A forest run's results and the answer-cache hits' results.
+    assert {result.report.cost["forest_documents"] for result in results} == {1, 2}
+    for result in results:
+        report = QueryReport(
+            **{field.name: getattr(result.report, field.name) for field in fields(QueryReport)}
+        )
+        rebuilt = CorpusResult(
+            **{field.name: getattr(result, field.name) for field in fields(CorpusResult)}
+        )
+        assert report == result.report and repr(report) == repr(result.report)
+        assert rebuilt == result and repr(rebuilt) == repr(result)
+        assert pickle.loads(pickle.dumps(result)) == result
+        with pytest.raises(FrozenInstanceError):
+            result.report.answer_count = 0
 
 
 # ---------------------------------------------------------- Definition 1

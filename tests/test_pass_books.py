@@ -196,6 +196,31 @@ def test_queries_missing_on_different_documents_build_one_forest_per_pass():
         assert cost["forest_documents"] == (1 if hit else 6)
 
 
+def test_bulk_lookups_read_and_write_the_snapshot_spill(tmp_path):
+    names = [f"doc{index}" for index in range(5)]
+    texts = {name: _bibliography(index) for index, name in enumerate(names)}
+    query = (SIBLING[0].format(tag="t1"), SIBLING[1])
+    with Session() as cold:
+        for name in names:
+            cold.add_xml(name, texts[name])
+        expected = {name: cold.query(name, *query) for name in names}
+    with Session(snapshot_dir=tmp_path / "snaps") as session:
+        for name in names:
+            session.add_xml(name, texts[name])
+        list(session.query_corpus([(PAIR[0].format(tag="t0"), PAIR[1])]))  # all resident
+        stored = session.stats()["snapshot"]["answer_stores"]
+        first = list(session.query_corpus([query]))  # one forest run spills every miss
+        assert session.stats()["snapshot"]["answer_stores"] == stored + len(names)
+        session.store.answer_cache.clear()
+        again = list(session.query_corpus([query]))  # memory misses, spill hits
+    assert all(result.report.cost["forest_documents"] == len(names) for result in first)
+    for result in again:
+        assert result.answers == expected[result.doc_name]
+        cost = result.report.cost
+        assert (cost["answer_cache_hits"], cost["answer_cache_misses"]) == (0, 1)
+        assert (cost["snapshot_hits"], cost["forest_documents"]) == (1, 1)
+
+
 def test_pass_results_equal_results_built_by_their_constructors():
     names = [f"doc{index}" for index in range(4)]
     cold, fresh = (PAIR[0].format(tag="t1"), PAIR[1]), (PAIR[0].format(tag="t2"), PAIR[1])

@@ -21,7 +21,6 @@ from typing import Hashable, Optional, Sequence
 
 from repro.errors import RestrictionViolation, TranslationError
 from repro.xpath.ast import OrTest, PathExpr, PathUnion
-from repro.xpath.analysis import is_variable_free
 from repro.obs import trace as _trace
 from repro.xpath.parser import parse_path
 from repro.core.ppl import Violation, ppl_violations
@@ -320,8 +319,9 @@ def _build_query(
         with _trace.span("translate", target="hcl"):
             hcl = ppl_to_hcl(parsed, violations)
 
+    # N($x): no variable occurs, free or bound (only a for-loop binds one).
     pplbin: Optional[BinExpr] = None
-    if is_variable_free(parsed):
+    if not parsed.free_variables and not any(v.condition == "N(for)" for v in violations):
         try:
             with _trace.span("translate", target="pplbin"):
                 pplbin = from_core_xpath(parsed)

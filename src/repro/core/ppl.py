@@ -39,6 +39,7 @@ from repro.xpath.ast import (
     PathExpr,
     PathIntersect,
     TestExpr,
+    annotate,
 )
 from repro.xpath.parser import parse_path
 
@@ -66,13 +67,40 @@ class Violation:
         return f"{self.condition}: {self.message}"
 
 
+#: The conditions checked at each operator: ``(condition, whether the two
+#: operands' variables are joined (NV) or intersected (NVS), message tail)``.
+_CHECKS = {
+    PathIntersect: ("NV(intersect)", True, "occur inside an intersect"),
+    PathExcept: ("NV(except)", True, "occur inside an except"),
+    PathCompose: ("NVS(/)", False, "are shared across a composition"),
+    Filter: ("NVS([])", False, "are shared between a path and its filter"),
+    AndTest: ("NVS(and)", False, "are shared across a conjunction"),
+}
+
+
 def ppl_violations(expression: PathExpr | TestExpr | str) -> list[Violation]:
-    """Return every violation of Definition 1 found in ``expression``."""
+    """Return every violation of Definition 1 found in ``expression``.
+
+    One pass over the expression (:func:`repro.xpath.ast.annotate`) fills
+    every sub-expression's free variables bottom-up; the conditions then
+    read them, so the check is linear in ``|P|``.  Violations are listed in
+    preorder.
+    """
     parsed = parse_path(expression) if isinstance(expression, str) else expression
     violations: list[Violation] = []
-
-    for sub in parsed.walk():
-        if isinstance(sub, ForLoop):
+    for sub, children in annotate(parsed):
+        check = _CHECKS.get(type(sub))
+        if check is not None:
+            condition, joined, tail = check
+            left, right = children
+            if joined:
+                offending = left.free_variables | right.free_variables
+            else:
+                offending = left.free_variables & right.free_variables
+            if offending:
+                names = ", ".join(sorted(offending))
+                violations.append(Violation(condition, f"variables {{{names}}} {tail}", sub))
+        elif isinstance(sub, ForLoop):
             violations.append(
                 Violation(
                     "N(for)",
@@ -80,77 +108,12 @@ def ppl_violations(expression: PathExpr | TestExpr | str) -> list[Violation]:
                     sub,
                 )
             )
-        elif isinstance(sub, PathIntersect):
-            offending = sub.left.free_variables | sub.right.free_variables
-            if offending:
-                violations.append(
-                    Violation(
-                        "NV(intersect)",
-                        "variables {"
-                        + ", ".join(sorted(offending))
-                        + "} occur inside an intersect",
-                        sub,
-                    )
-                )
-        elif isinstance(sub, PathExcept):
-            offending = sub.left.free_variables | sub.right.free_variables
-            if offending:
-                violations.append(
-                    Violation(
-                        "NV(except)",
-                        "variables {"
-                        + ", ".join(sorted(offending))
-                        + "} occur inside an except",
-                        sub,
-                    )
-                )
         elif isinstance(sub, NotTest):
             offending = sub.test.free_variables
             if offending:
+                names = ", ".join(sorted(offending))
                 violations.append(
-                    Violation(
-                        "NV(not)",
-                        "variables {"
-                        + ", ".join(sorted(offending))
-                        + "} occur below a negation",
-                        sub,
-                    )
-                )
-        elif isinstance(sub, PathCompose):
-            shared = sub.left.free_variables & sub.right.free_variables
-            if shared:
-                violations.append(
-                    Violation(
-                        "NVS(/)",
-                        "variables {"
-                        + ", ".join(sorted(shared))
-                        + "} are shared across a composition",
-                        sub,
-                    )
-                )
-        elif isinstance(sub, Filter):
-            shared = sub.path.free_variables & sub.test.free_variables
-            if shared:
-                violations.append(
-                    Violation(
-                        "NVS([])",
-                        "variables {"
-                        + ", ".join(sorted(shared))
-                        + "} are shared between a path and its filter",
-                        sub,
-                    )
-                )
-        elif isinstance(sub, AndTest):
-            shared = sub.left.free_variables & sub.right.free_variables
-            if shared:
-                violations.append(
-                    Violation(
-                        "NVS(and)",
-                        "variables {"
-                        + ", ".join(sorted(shared))
-                        + "} are shared across a conjunction",
-                        sub,
-                    )
+                    Violation("NV(not)", f"variables {{{names}}} occur below a negation", sub)
                 )
     return violations
 

@@ -53,54 +53,72 @@ def ppl_to_hcl(
     return _translate_path(expression)
 
 
+#: Variable free by NV(intersect)/NV(except)/NV(not): one PPLbin leaf each.
+_ONE_LEAF = (x.PathIntersect, x.PathExcept, x.NotTest)
+
+
 def _translate_path(expression: x.PathExpr) -> HclExpr:
-    if isinstance(expression, x.Step):
-        return Leaf(BStep(expression.axis, expression.nametest))
-    if isinstance(expression, x.ContextItem):
+    """Fig. 7, bottom-up over the expression without recursion.
+
+    Sub-expressions are listed in preorder, right child first (nothing is
+    listed below an ``intersect``, an ``except`` or a ``not``, which become
+    one leaf), and translated in reverse: each node then finds its
+    children's images on top of the stack, the right one last.
+    """
+    order: list[x._Expr] = []
+    stack: list[x._Expr] = [expression]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if not isinstance(node, _ONE_LEAF):
+            stack.extend(node.children())
+    images: list[HclExpr] = []
+    push, pop = images.append, images.pop
+    for node in reversed(order):
+        kind = type(node)
+        if kind is x.Step:
+            push(Leaf(BStep(node.axis, node.nametest)))
+        elif kind is x.Filter or kind is x.AndTest or kind is x.PathCompose:
+            # A filter test is a partial identity: the filter is a composition.
+            right = pop()
+            push(HCompose(pop(), right))
+        elif kind is x.PathTest:
+            push(HFilter(pop()))
+        elif kind is x.CompTest:
+            push(_comparison(node.left, node.right))
+        elif kind is x.OrTest or kind is x.PathUnion:
+            right = pop()
+            push(HUnion(pop(), right))
+        elif kind is x.ContextItem:
+            push(Leaf(SelfStep()))
+        elif kind is x.VarRef:
+            # $x  =  nodes/x : jump to an arbitrary node, require it to be alpha(x).
+            push(HCompose(Leaf(nodes_query()), HVar(node.name)))
+        elif kind is x.PathIntersect or kind is x.PathExcept:
+            push(Leaf(from_core_xpath(node)))
+        elif kind is x.NotTest:
+            # The partial identity selecting the nodes satisfying `not T`.
+            push(Leaf(pb_translate._negate_test(node.test)))
+        elif kind is x.ForLoop:  # pragma: no cover - rejected by check_ppl
+            raise TranslationError("for-loops cannot occur in PPL expressions")
+        elif isinstance(node, x.TestExpr):
+            raise TranslationError(f"cannot translate test {node!r} into HCL")
+        else:
+            raise TranslationError(f"cannot translate {node!r} into HCL")
+    return images[0]
+
+
+def _comparison(left: str, right: str) -> HclExpr:
+    """The image of the comparison test ``left is right``."""
+    if left == x.CONTEXT and right == x.CONTEXT:
         return Leaf(SelfStep())
-    if isinstance(expression, x.VarRef):
-        # $x  =  nodes/x : jump to an arbitrary node, require it to be alpha(x).
-        return HCompose(Leaf(nodes_query()), HVar(expression.name))
-    if isinstance(expression, x.PathCompose):
-        return HCompose(_translate_path(expression.left), _translate_path(expression.right))
-    if isinstance(expression, x.PathUnion):
-        return HUnion(_translate_path(expression.left), _translate_path(expression.right))
-    if isinstance(expression, (x.PathIntersect, x.PathExcept)):
-        # Variable-free by NV(intersect)/NV(except): one PPLbin leaf via Fig. 4.
-        return Leaf(from_core_xpath(expression))
-    if isinstance(expression, x.Filter):
-        return HCompose(_translate_path(expression.path), _translate_test(expression.test))
-    if isinstance(expression, x.ForLoop):  # pragma: no cover - rejected by check_ppl
-        raise TranslationError("for-loops cannot occur in PPL expressions")
-    raise TranslationError(f"cannot translate {expression!r} into HCL")
-
-
-def _translate_test(test: x.TestExpr) -> HclExpr:
-    """Translate a filter test into a partial-identity HCL formula."""
-    if isinstance(test, x.PathTest):
-        return HFilter(_translate_path(test.path))
-    if isinstance(test, x.CompTest):
-        left, right = test.left, test.right
-        if left == x.CONTEXT and right == x.CONTEXT:
-            return Leaf(SelfStep())
-        if left == x.CONTEXT:
-            return HVar(right)
-        if right == x.CONTEXT:
-            return HVar(left)
-        if left == right:
-            return HVar(left)
-        # $x is $y with distinct variables: [x/y] holds at alpha(x) when
-        # alpha(x) = alpha(y); no variable sharing since x != y.
-        return HFilter(HCompose(HVar(left), HVar(right)))
-    if isinstance(test, x.NotTest):
-        # Variable-free by NV(not): one PPLbin leaf for the partial identity
-        # selecting the nodes satisfying `not T`.
-        return Leaf(pb_translate._negate_test(test.test))
-    if isinstance(test, x.AndTest):
-        return HCompose(_translate_test(test.left), _translate_test(test.right))
-    if isinstance(test, x.OrTest):
-        return HUnion(_translate_test(test.left), _translate_test(test.right))
-    raise TranslationError(f"cannot translate test {test!r} into HCL")
+    if left == x.CONTEXT:
+        return HVar(right)
+    if right == x.CONTEXT or left == right:
+        return HVar(left)
+    # $x is $y with distinct variables: [x/y] holds at alpha(x) when
+    # alpha(x) = alpha(y); no variable sharing since x != y.
+    return HFilter(HCompose(HVar(left), HVar(right)))
 
 
 # --------------------------------------------------------------- converse

@@ -18,10 +18,6 @@ formulas round-trip through the parser.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.errors import ParseError
 from repro.fo.ast import (
     And,
@@ -39,25 +35,23 @@ from repro.fo.ast import (
     SecondChild,
     equality,
 )
+from repro.lexer import Lexer, TokenParser
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<chstar>ch\*)
-  | (?P<nsstar>ns\*)
-  | (?P<name>[A-Za-z_][\w]*)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<lbracket>\[)
-  | (?P<rbracket>\])
-  | (?P<comma>,)
-  | (?P<dotsep>\.)
-  | (?P<equals>=)
-    """,
-    re.VERBOSE,
+_LEXER = Lexer(
+    {
+        "ch*": "chstar",
+        "ns*": "nsstar",
+        "(": "lparen",
+        ")": "rparen",
+        "[": "lbracket",
+        "]": "rbracket",
+        ",": "comma",
+        ".": "dotsep",
+        "=": "equals",
+    },
+    ("exists", "forall", "and", "or", "not", "lab", "ch", "ns", "ch1", "ch2"),
+    r"[A-Za-z_]\w*",
 )
-
-_KEYWORDS = frozenset({"exists", "forall", "and", "or", "not", "lab", "ch", "ns", "ch1", "ch2"})
 
 _RELATIONS = {
     "chstar": ChStar,
@@ -69,64 +63,13 @@ _RELATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            raise ParseError(f"unexpected character {text[position]!r}", position)
-        kind = match.lastgroup
-        assert kind is not None
-        value = match.group()
-        if kind != "ws":
-            if kind == "name" and value in _KEYWORDS:
-                kind = value
-            tokens.append(_Token(kind, value, position))
-        position = match.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self, offset: int = 0) -> Optional[_Token]:
-        index = self.index + offset
-        return self.tokens[index] if index < len(self.tokens) else None
-
-    def at(self, kind: str, offset: int = 0) -> bool:
-        token = self.peek(offset)
-        return token is not None and token.kind == kind
-
-    def advance(self) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.index += 1
-        return token
-
-    def expect(self, kind: str) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError(f"expected {kind!r} but reached end of input", len(self.text))
-        if token.kind != kind:
-            raise ParseError(f"expected {kind!r} but found {token.text!r}", token.position)
-        return self.advance()
+class _Parser(TokenParser):
+    lexer = _LEXER
 
     def parse_formula(self) -> Formula:
-        if self.at("exists") or self.at("forall"):
-            keyword = self.advance().kind
-            variable = self.expect("name").text
+        if self.kind == "exists" or self.kind == "forall":
+            keyword = self.advance()
+            variable = self.expect("name")
             self.expect("dotsep")
             body = self.parse_formula()
             return Exists(variable, body) if keyword == "exists" else Forall(variable, body)
@@ -134,62 +77,55 @@ class _Parser:
 
     def parse_or(self) -> Formula:
         left = self.parse_and()
-        while self.at("or"):
+        while self.kind == "or":
             self.advance()
             left = Or(left, self.parse_and())
         return left
 
     def parse_and(self) -> Formula:
         left = self.parse_not()
-        while self.at("and"):
+        while self.kind == "and":
             self.advance()
             left = And(left, self.parse_not())
         return left
 
     def parse_not(self) -> Formula:
-        if self.at("not"):
+        if self.kind == "not":
             self.advance()
             return Not(self.parse_not())
         return self.parse_atom()
 
     def parse_atom(self) -> Formula:
-        token = self.peek()
-        if token is None:
-            raise ParseError("expected an atom", len(self.text))
-        if token.kind == "lparen":
+        kind = self.kind
+        if kind == "end":
+            raise self.error("expected an atom")
+        if kind == "lparen":
             self.advance()
             inner = self.parse_formula()
             self.expect("rparen")
             return inner
-        if token.kind == "lab":
+        if kind == "lab":
             self.advance()
             self.expect("lbracket")
-            label = self.expect("name").text
+            label = self.expect("name")
             self.expect("rbracket")
             self.expect("lparen")
-            variable = self.expect("name").text
+            variable = self.expect("name")
             self.expect("rparen")
             return Lab(label, variable)
-        if token.kind in _RELATIONS:
+        if kind in _RELATIONS:
             self.advance()
-            constructor = _RELATIONS[token.kind]
             self.expect("lparen")
-            source = self.expect("name").text
+            source = self.expect("name")
             self.expect("comma")
-            target = self.expect("name").text
+            target = self.expect("name")
             self.expect("rparen")
-            return constructor(source, target)
-        if token.kind == "name" and self.at("equals", 1):
-            left = self.advance().text
+            return _RELATIONS[kind](source, target)
+        if kind == "name" and self.at("equals", 1):
+            left = self.advance()
             self.advance()
-            right = self.expect("name").text
-            return equality(left, right)
-        raise ParseError(f"unexpected token {token.text!r} in FO formula", token.position)
-
-    def finish(self) -> None:
-        token = self.peek()
-        if token is not None:
-            raise ParseError(f"unexpected trailing input {token.text!r}", token.position)
+            return equality(left, self.expect("name"))
+        raise self.error(f"unexpected token {self.texts[self.index]!r} in FO formula")
 
 
 def parse_fo(text: str) -> Formula:

@@ -57,10 +57,14 @@ from repro.hcl.binding import BinaryQueryOracle, setwise_oracle
 from repro.hcl.mc import MCTable
 from repro.hcl.plan import FILTER, LEAF, SELF, UNION, VAR, Fig8Plan, compile_plan
 from repro.hcl.sharing import EquationSystem, SharedExpr, normalize
+from repro.xpath.ast import annotate
 
 
 def check_no_variable_sharing(formula: HclExpr) -> None:
     """Enforce NVS(/): no variable occurs on both sides of a composition.
+
+    One pass fills every sub-formula's variables bottom-up
+    (:func:`repro.xpath.ast.annotate`), so the check is linear in ``|C|``.
 
     Raises
     ------
@@ -68,9 +72,10 @@ def check_no_variable_sharing(formula: HclExpr) -> None:
         Naming the shared variables, when the condition fails.  Filters are
         covered as well because ``[C]/C'`` is itself a composition.
     """
-    for sub in formula.walk():
+    for sub, children in annotate(formula):
         if isinstance(sub, HCompose):
-            shared = sub.left.free_variables & sub.right.free_variables
+            left, right = children
+            shared = left.free_variables & right.free_variables
             if shared:
                 names = ", ".join(sorted(shared))
                 raise RestrictionViolation(

@@ -20,6 +20,7 @@ from typing import Any, Iterator, Mapping, Sequence
 from repro.errors import EvaluationError, UnboundVariableError
 from repro.pickling import strip_cached_properties
 from repro.trees.tree import Tree
+from repro.xpath.ast import _Expr, annotate
 
 
 class HclExpr:
@@ -31,16 +32,14 @@ class HclExpr:
     @cached_property
     def size(self) -> int:
         """Composition size |C|: leaves count 1 regardless of their own size."""
-        return 1 + sum(child.size for child in self.children())
+        annotate(self, every=False)
+        return self.__dict__["size"]
 
     @cached_property
     def free_variables(self) -> frozenset[str]:
         """The variables occurring in the formula."""
-        names: set[str] = set()
-        for sub in self.walk():
-            if isinstance(sub, HVar):
-                names.add(sub.name)
-        return frozenset(names)
+        annotate(self, every=False)
+        return self.__dict__["free_variables"]
 
     @cached_property
     def answer_plans(self) -> dict:
@@ -55,6 +54,9 @@ class HclExpr:
     def children(self) -> tuple["HclExpr", ...]:
         """Direct sub-formulas."""
         return ()
+
+    # Filled bottom-up by :func:`repro.xpath.ast.annotate`, as for XPath.
+    _note = _Expr._note
 
     def walk(self) -> Iterator["HclExpr"]:
         """Yield this formula and all sub-formulas (preorder)."""
@@ -93,6 +95,9 @@ class HVar(HclExpr):
     """A variable ``x`` — the partial identity ``{(alpha(x), alpha(x))}``."""
 
     name: str
+
+    def _note(self, children: tuple) -> None:
+        self.__dict__.update(size=1, free_variables=frozenset((self.name,)))
 
     def unparse(self) -> str:
         return self.name

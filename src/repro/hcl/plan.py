@@ -41,6 +41,8 @@ from repro.hcl.sharing import (
 
 SELF, UNION, LEAF, VAR, FILTER = range(5)
 
+_NONE: frozenset[str] = frozenset()
+
 
 @dataclass(frozen=True)
 class Fig8Plan:
@@ -84,44 +86,16 @@ class Fig8Plan:
     final: tuple[int, tuple[int, ...]]
 
 
-def _children(expr: SharedExpr, system: EquationSystem) -> tuple[SharedExpr, ...]:
-    if isinstance(expr, SharedParam):
-        return (system.resolve(expr),)
-    if isinstance(expr, SharedUnion):
-        return (expr.left, expr.right)
-    if isinstance(expr, SharedCompose):
-        if isinstance(expr.head, HeadFilter):
-            return (expr.head.inner, expr.tail)
-        return (expr.tail,)
-    if isinstance(expr, SharedSelf):
-        return ()
-    raise EvaluationError(f"unknown sharing formula {expr!r}")
-
-
-def _instruction(expr: SharedExpr, index: dict[int, int]) -> tuple:
-    if isinstance(expr, SharedSelf):
-        return (SELF, None, None)
-    if isinstance(expr, SharedUnion):
-        return (UNION, index[id(expr.left)], index[id(expr.right)])
-    head = expr.head
-    tail = index[id(expr.tail)]
-    if isinstance(head, HeadLeaf):
-        return (LEAF, head.query, tail)
-    if isinstance(head, HeadVar):
-        return (VAR, head.name, tail)
-    if isinstance(head, HeadFilter):
-        return (FILTER, index[id(head.inner)], tail)
-    raise EvaluationError(f"unknown head expression {head!r}")
-
-
 def flatten(
     formula: SharedExpr, system: EquationSystem
 ) -> tuple[list[tuple], dict[int, int]]:
     """Number the sub-formulas of ``(D, Δ)`` children-first.
 
     Returns the instruction list and the map from ``id(sub-formula)`` to its
-    instruction (a parameter maps to its equation's instruction).  The walk
-    is iterative, so deep formulas do not hit the recursion limit.
+    instruction (a parameter maps to its equation's instruction).  Equal
+    instructions are stored once; a leaf's binary query hashes once (see
+    :class:`repro.pplbin.ast.BinExpr`), so interning it costs one lookup.
+    The walk is iterative, so deep formulas do not hit the recursion limit.
 
     Raises
     ------
@@ -132,33 +106,70 @@ def flatten(
     instructions: list[tuple] = []
     interned: dict[tuple, int] = {}
     index: dict[int, int] = {}
-    open_ids: set[int] = set()
-    stack: list[tuple[SharedExpr, bool]] = [(formula, False)]
+    resolving: set[str] = set()
+    stack: list[SharedExpr] = [formula]
+    push, pop, numbered = stack.append, stack.pop, index.get
     while stack:
-        expr, expanded = stack.pop()
-        key = id(expr)
-        if key in index:
+        # The top is numbered once its children are; until then it stays
+        # and its first unnumbered child goes on top of it.
+        expr = stack[-1]
+        kind = type(expr)
+        if kind is SharedCompose:
+            head = expr.head
+            head_kind = type(head)
+            if head_kind is HeadFilter:
+                inner = numbered(id(head.inner))
+                if inner is None:
+                    push(head.inner)
+                    continue
+            tail = numbered(id(expr.tail))
+            if tail is None:
+                push(expr.tail)
+                continue
+            if head_kind is HeadLeaf:
+                instruction: tuple = (LEAF, head.query, tail)
+            elif head_kind is HeadVar:
+                instruction = (VAR, head.name, tail)
+            elif head_kind is HeadFilter:
+                instruction = (FILTER, inner, tail)
+            else:
+                raise EvaluationError(f"unknown head expression {head!r}")
+        elif kind is SharedUnion:
+            left = numbered(id(expr.left))
+            if left is None:
+                push(expr.left)
+                continue
+            right = numbered(id(expr.right))
+            if right is None:
+                push(expr.right)
+                continue
+            instruction = (UNION, left, right)
+        elif kind is SharedParam:
+            equation = system.resolve(expr)
+            position = numbered(id(equation))
+            if position is None:
+                if expr.name in resolving:
+                    raise EvaluationError("cyclic equation system")
+                resolving.add(expr.name)
+                push(equation)
+                continue
+            resolving.discard(expr.name)
+            index[id(expr)] = position
+            pop()
             continue
-        children = _children(expr, system)
-        if not expanded:
-            if key in open_ids:
-                raise EvaluationError("cyclic equation system")
-            open_ids.add(key)
-            stack.append((expr, True))
-            stack.extend((child, False) for child in reversed(children))
-            continue
-        open_ids.discard(key)
-        if isinstance(expr, SharedParam):
-            index[key] = index[id(children[0])]
-            continue
-        instruction = _instruction(expr, index)
-        position = interned.get(instruction)
-        if position is None:
-            position = len(instructions)
+        elif kind is SharedSelf:
+            instruction = _SELF
+        else:
+            raise EvaluationError(f"unknown sharing formula {expr!r}")
+        pop()
+        position = interned.setdefault(instruction, len(instructions))
+        if position == len(instructions):
             instructions.append(instruction)
-            interned[instruction] = position
-        index[key] = position
+        index[id(expr)] = position
     return instructions, index
+
+
+_SELF = (SELF, None, None)
 
 
 def compile_plan(
@@ -177,57 +188,62 @@ def compile_plan(
     if index is not None:
         index.update(positions)
     wanted = frozenset(output)
+    # Var(D0) of each instruction; one set object is shared down a chain
+    # that adds no variable, so its sorted domain is computed once.
     variables: list[frozenset[str]] = []
     users = [0] * len(instructions)
     for opcode, first, second in instructions:
         if opcode == SELF:
-            variables.append(frozenset())
+            variables.append(_NONE)
             continue
+        own = variables[second]
+        users[second] += 1
         if opcode == UNION or opcode == FILTER:
             users[first] += 1
-            own = variables[first]
-        elif opcode == VAR:
-            own = frozenset({first})
-        else:
-            own = frozenset()
-        users[second] += 1
-        variables.append(own | variables[second])
-    domains = tuple(tuple(sorted(names & wanted)) for names in variables)
+            if variables[first]:
+                own = own | variables[first] if own else variables[first]
+        elif opcode == VAR and first not in own:
+            own = own | {first}
+        variables.append(own)
+    sorted_domains: dict[frozenset[str], tuple[str, ...]] = {}
+    for names in variables:
+        if names not in sorted_domains:
+            sorted_domains[names] = tuple(sorted(names & wanted))
+    domains = tuple(map(sorted_domains.__getitem__, variables))
     root = positions[id(formula)]
     projected = [False] * len(instructions)
     projected[root] = True
     for position in range(len(instructions) - 1, -1, -1):
         opcode, first, second = instructions[position]
-        if not projected[position] or opcode in (SELF, FILTER):
+        if not projected[position] or opcode == SELF or opcode == FILTER:
             continue
         if opcode == VAR and first in wanted:
             continue  # the variable's value is the start node
-        for child in (first, second) if opcode == UNION else (second,):
-            projected[child] = users[child] == 1
+        if opcode == UNION:
+            projected[first] = users[first] == 1
+        projected[second] = users[second] == 1
 
-    def select(columns: list[str], domain: tuple[str, ...]) -> tuple[int, ...]:
-        # Column 0 is the start node; ``columns`` names the others.
-        return (0,) + tuple(1 + columns.index(name) for name in domain)
-
+    # A layout lists, for column 0 (the start node) and each name of the
+    # domain, its column in the table built so far, whose column 0 is the
+    # start node (the placeholder ``None`` stands for it).
     layouts: list = []
     for position, (opcode, first, second) in enumerate(instructions):
-        domain = domains[position]
-        if opcode == VAR and first in wanted:
+        if opcode == LEAF or opcode == SELF or (opcode == VAR and first not in wanted):
+            layouts.append(None)
+        elif opcode == VAR:
             # The variable's column is a copy of the start column.
-            tail = domains[second]
-            layouts.append(
-                (0,) + tuple(0 if name == first else 1 + tail.index(name) for name in domain)
-            )
+            layouts.append((0, *map((first, *domains[second]).index, domains[position])))
         elif opcode == FILTER:
-            layouts.append(select(list(domains[first]) + list(domains[second]), domain))
-        elif opcode == UNION:
+            columns = (None, *domains[first], *domains[second])
+            layouts.append((0, *map(columns.index, domains[position])))
+        else:  # UNION
+            domain = domains[position]
             sides = []
             for side in (first, second):
                 missing = [name for name in domain if name not in domains[side]]
-                sides.append((len(missing), select(list(domains[side]) + missing, domain)))
+                columns = (None, *domains[side], *missing)
+                sides.append((len(missing), (0, *map(columns.index, domain))))
             layouts.append(tuple(sides))
-        else:
-            layouts.append(None)
     missing = [name for name in sorted(set(output)) if name not in domains[root]]
     columns = list(domains[root]) + missing
     final = (len(missing), tuple(columns.index(name) for name in output))

@@ -27,22 +27,26 @@ from repro.hcl.ast import HCompose, HclExpr, HFilter, HUnion, HVar, Leaf
 class HeadExpr:
     """Base class of head expressions ``E ::= x | [D] | b``."""
 
+    # Sharing formulas are built afresh for every plan; slotted instances
+    # are cheaper to make than ones with a ``__dict__``.
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class HeadVar(HeadExpr):
     """A variable head ``x``."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeadFilter(HeadExpr):
     """A filter head ``[D]``."""
 
     inner: "SharedExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeadLeaf(HeadExpr):
     """A binary-query head ``b``."""
 
@@ -52,6 +56,8 @@ class HeadLeaf(HeadExpr):
 # ---------------------------------------------------------- sharing expressions
 class SharedExpr:
     """Base class of sharing formulas ``D``."""
+
+    __slots__ = ()
 
     def children(self) -> tuple["SharedExpr", ...]:
         return ()
@@ -75,19 +81,19 @@ class SharedExpr:
         return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SharedSelf(SharedExpr):
     """The trivial continuation ``self``."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SharedParam(SharedExpr):
     """A parameter ``p`` referring to an equation of ``Δ``."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SharedUnion(SharedExpr):
     """Union ``D ∪ D'``."""
 
@@ -98,7 +104,7 @@ class SharedUnion(SharedExpr):
         return (self.left, self.right)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SharedCompose(SharedExpr):
     """Composition ``E/D`` of a head expression with a continuation."""
 
@@ -155,31 +161,52 @@ def normalize(formula: HclExpr) -> tuple[SharedExpr, EquationSystem]:
     the input is visited once, and unions occurring to the left of a
     composition share their continuation through a fresh parameter instead of
     copying it.
+
+    ``convert(C, K)`` (the sharing formula of ``C`` followed by ``K``) runs
+    on an explicit task stack rather than recursively, so deep formulas do
+    not hit the recursion limit.  A task ``(C, K)`` with ``K`` of ``None``
+    takes its continuation from the top of the result stack; a composition
+    converts its right side first and hands the result to its left side.
     """
     system = EquationSystem()
+    results: list[SharedExpr] = []
+    tasks: list[tuple] = [(formula, SharedSelf())]
+    while tasks:
+        expr, continuation = tasks.pop()
+        if expr is _UNION_DONE:
+            right = results.pop()
+            results.append(SharedUnion(results.pop(), right))
+            continue
+        if expr is _FILTER_DONE:
+            results.append(SharedCompose(HeadFilter(results.pop()), continuation))
+            continue
+        if continuation is None:
+            continuation = results.pop()
+        kind = type(expr)
+        if kind is HCompose:
+            tasks.append((expr.left, None))
+            tasks.append((expr.right, continuation))
+        elif kind is Leaf:
+            results.append(SharedCompose(HeadLeaf(expr.query), continuation))
+        elif kind is HVar:
+            results.append(SharedCompose(HeadVar(expr.name), continuation))
+        elif kind is HFilter:
+            tasks.append((_FILTER_DONE, continuation))
+            tasks.append((expr.inner, SharedSelf()))
+        elif kind is HUnion:
+            if not isinstance(continuation, (SharedSelf, SharedParam)):
+                continuation = system.fresh(continuation)
+            tasks.append((_UNION_DONE, None))
+            tasks.append((expr.right, continuation))
+            tasks.append((expr.left, continuation))
+        else:
+            raise EvaluationError(f"unknown HCL formula {expr!r}")
+    return results[0], system
 
-    def convert(expr: HclExpr, continuation: SharedExpr) -> SharedExpr:
-        if isinstance(expr, Leaf):
-            return SharedCompose(HeadLeaf(expr.query), continuation)
-        if isinstance(expr, HVar):
-            return SharedCompose(HeadVar(expr.name), continuation)
-        if isinstance(expr, HFilter):
-            inner = convert(expr.inner, SharedSelf())
-            return SharedCompose(HeadFilter(inner), continuation)
-        if isinstance(expr, HCompose):
-            return convert(expr.left, convert(expr.right, continuation))
-        if isinstance(expr, HUnion):
-            if isinstance(continuation, (SharedSelf, SharedParam)):
-                shared_continuation: SharedExpr = continuation
-            else:
-                shared_continuation = system.fresh(continuation)
-            return SharedUnion(
-                convert(expr.left, shared_continuation),
-                convert(expr.right, shared_continuation),
-            )
-        raise EvaluationError(f"unknown HCL formula {expr!r}")
 
-    return convert(formula, SharedSelf()), system
+#: Task markers of :func:`normalize`: wrap the results on top of the stack.
+_FILTER_DONE = object()
+_UNION_DONE = object()
 
 
 def expand(formula: SharedExpr, system: EquationSystem) -> HclExpr:

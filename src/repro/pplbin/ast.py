@@ -32,8 +32,30 @@ from repro.trees.axes import Axis
 class BinExpr:
     """Base class of PPLbin expressions (binary queries over nodes)."""
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # Set before @dataclass runs, which then keeps it (frozen, eq).
+        cls.__hash__ = BinExpr.__hash__
+
     def __getstate__(self) -> dict:
         return strip_cached_properties(self)
+
+    def __hash__(self) -> int:
+        # The structural hash, computed once per expression and kept in the
+        # ``_hash`` slot: plans intern their leaves by value and oracles key
+        # their caches by query, so one leaf is hashed many times, and the
+        # dataclass hash would re-walk the whole expression each time.
+        state = self.__dict__
+        value = state.get("_hash")
+        if value is None:
+            fields = [state[name] for name in self.__dataclass_fields__]
+            value = state["_hash"] = hash((type(self), *fields))
+        return value
+
+    @cached_property
+    def _hash(self) -> int:
+        """The cached structural hash (a cached slot, so pickles leave it out)."""
+        return hash(self)
 
     @cached_property
     def size(self) -> int:

@@ -16,11 +16,8 @@ AST only ever contains the Fig. 3 operators.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.errors import ParseError
+from repro.lexer import Lexer, TokenParser
 from repro.trees.axes import parse_axis
 from repro.pplbin.ast import (
     BCompose,
@@ -34,84 +31,31 @@ from repro.pplbin.ast import (
     binary_intersect,
 )
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<axis_sep>::)
-  | (?P<name>[A-Za-z_][\w\-.]*)
-  | (?P<star>\*)
-  | (?P<dot>\.)
-  | (?P<slash>/)
-  | (?P<lbracket>\[)
-  | (?P<rbracket>\])
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-    """,
-    re.VERBOSE,
+_LEXER = Lexer(
+    {
+        "::": "axis_sep",
+        "*": "star",
+        ".": "dot",
+        "/": "slash",
+        "[": "lbracket",
+        "]": "rbracket",
+        "(": "lparen",
+        ")": "rparen",
+    },
+    ("union", "intersect", "except", "self"),
+    r"[A-Za-z_][\w\-.]*",
 )
 
-_KEYWORDS = frozenset({"union", "intersect", "except", "self"})
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            raise ParseError(f"unexpected character {text[position]!r}", position)
-        kind = match.lastgroup
-        assert kind is not None
-        value = match.group()
-        if kind != "ws":
-            if kind == "name" and value in _KEYWORDS:
-                kind = value
-            tokens.append(_Token(kind, value, position))
-        position = match.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self, offset: int = 0) -> Optional[_Token]:
-        index = self.index + offset
-        return self.tokens[index] if index < len(self.tokens) else None
-
-    def at(self, kind: str, offset: int = 0) -> bool:
-        token = self.peek(offset)
-        return token is not None and token.kind == kind
-
-    def advance(self) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.index += 1
-        return token
-
-    def expect(self, kind: str) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError(f"expected {kind!r} but reached end of input", len(self.text))
-        if token.kind != kind:
-            raise ParseError(f"expected {kind!r} but found {token.text!r}", token.position)
-        return self.advance()
+class _Parser(TokenParser):
+    lexer = _LEXER
 
     # -------------------------------------------------------------- grammar
     def parse_union(self) -> BinExpr:
         left = self.parse_prefix()
-        while self.at("union") or self.at("intersect") or self.at("except"):
-            operator = self.advance().kind
+        while self.kind in ("union", "intersect", "except"):
+            operator = self.kind
+            self.advance()
             right = self.parse_prefix()
             if operator == "union":
                 left = BUnion(left, right)
@@ -122,21 +66,21 @@ class _Parser:
         return left
 
     def parse_prefix(self) -> BinExpr:
-        if self.at("except"):
+        if self.kind == "except":
             self.advance()
             return BExcept(self.parse_prefix())
         return self.parse_composition()
 
     def parse_composition(self) -> BinExpr:
         left = self.parse_filtered()
-        while self.at("slash"):
+        while self.kind == "slash":
             self.advance()
             left = BCompose(left, self.parse_filtered())
         return left
 
     def parse_filtered(self) -> BinExpr:
         expression = self.parse_primary()
-        while self.at("lbracket"):
+        while self.kind == "lbracket":
             self.advance()
             inner = self.parse_union()
             self.expect("rbracket")
@@ -144,49 +88,44 @@ class _Parser:
         return expression
 
     def parse_primary(self) -> BinExpr:
-        token = self.peek()
-        if token is None:
-            raise ParseError("expected a PPLbin expression", len(self.text))
-        if token.kind == "self" and self.at("axis_sep", 1):
+        kind = self.kind
+        if kind == "self" and self.at("axis_sep", 1):
             return self.parse_step()
-        if token.kind in ("self", "dot"):
+        if kind in ("self", "dot"):
             self.advance()
             return SelfStep()
-        if token.kind == "lparen":
+        if kind == "lparen":
             self.advance()
             inner = self.parse_union()
             self.expect("rparen")
             return inner
-        if token.kind == "lbracket":
+        if kind == "lbracket":
             self.advance()
             inner = self.parse_union()
             self.expect("rbracket")
             return BFilter(inner)
-        if token.kind == "name":
+        if kind == "name":
             return self.parse_step()
-        raise ParseError(f"unexpected token {token.text!r}", token.position)
+        if kind == "end":
+            raise self.error("expected a PPLbin expression")
+        raise self.error(f"unexpected token {self.texts[self.index]!r}")
 
     def parse_step(self) -> BinExpr:
-        axis_token = self.advance()
-        if not self.at("axis_sep"):
+        start = self.index
+        axis_name = self.advance()
+        if self.kind != "axis_sep":
             raise ParseError(
-                f"expected '::' after axis name {axis_token.text!r}", axis_token.position
+                f"expected '::' after axis name {axis_name!r}", self.position(start)
             )
         self.advance()
         try:
-            axis = parse_axis(axis_token.text)
+            axis = parse_axis(axis_name)
         except Exception as exc:  # noqa: BLE001 - re-raise as ParseError
-            raise ParseError(str(exc), axis_token.position) from exc
-        if self.at("star"):
+            raise ParseError(str(exc), self.position(start)) from exc
+        if self.kind == "star":
             self.advance()
             return BStep(axis, None)
-        name_token = self.expect("name")
-        return BStep(axis, name_token.text)
-
-    def finish(self) -> None:
-        token = self.peek()
-        if token is not None:
-            raise ParseError(f"unexpected trailing input {token.text!r}", token.position)
+        return BStep(axis, self.expect("name"))
 
 
 def parse_pplbin(text: str) -> BinExpr:

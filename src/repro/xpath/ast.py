@@ -33,26 +33,31 @@ class _Expr:
     @cached_property
     def size(self) -> int:
         """Number of AST nodes — the paper's term size ``|P|``."""
-        return 1 + sum(child.size for child in self.children())
+        annotate(self, every=False)
+        return self.__dict__["size"]
 
     @cached_property
     def free_variables(self) -> frozenset[str]:
         """The set ``Var(P)`` of variables occurring free in the expression."""
-        names = set(self._own_variables())
-        for child in self.children():
-            names.update(child.free_variables)
-        names.difference_update(self._bound_variables())
-        return frozenset(names)
+        annotate(self, every=False)
+        return self.__dict__["free_variables"]
 
     def children(self) -> tuple["_Expr", ...]:
         """Direct sub-expressions."""
         return ()
 
-    def _own_variables(self) -> tuple[str, ...]:
-        return ()
-
-    def _bound_variables(self) -> tuple[str, ...]:
-        return ()
+    def _note(self, children: tuple["_Expr", ...]) -> None:
+        """Store ``size`` and ``free_variables`` from the children's."""
+        size = 1
+        names = _EMPTY
+        for child in children:
+            size += child.size
+            more = child.free_variables
+            if more:
+                names = names | more if names else more
+        state = self.__dict__
+        state["size"] = size
+        state["free_variables"] = names
 
     def walk(self) -> Iterator["_Expr"]:
         """Yield this expression and every sub-expression (preorder)."""
@@ -68,6 +73,35 @@ class _Expr:
 
     def __str__(self) -> str:
         return self.unparse()
+
+
+_EMPTY: frozenset[str] = frozenset()
+
+
+def annotate(root: _Expr, every: bool = True) -> list[tuple[_Expr, tuple]]:
+    """Fill ``size`` and ``free_variables`` of every sub-expression of ``root``.
+
+    Returns the sub-expressions in preorder, each with its children (with
+    ``every=False``, only those not filled before, and none below them).
+    Each sub-expression's ``children()`` is called once and the values are
+    built bottom-up from the children's (reverse preorder lists every node
+    after its descendants), so the pass is linear in ``|P|`` and does not
+    recurse: a deep expression does not hit the recursion limit.
+    """
+    order: list[tuple[_Expr, tuple]] = []
+    stack: list[_Expr] = [root]
+    while stack:
+        node = stack.pop()
+        if not every and "free_variables" in node.__dict__:
+            continue
+        children = node.children()
+        order.append((node, children))
+        if children:
+            stack.extend(reversed(children))
+    for node, children in reversed(order):
+        if "free_variables" not in node.__dict__:
+            node._note(children)
+    return order
 
 
 class PathExpr(_Expr):
@@ -105,8 +139,8 @@ class VarRef(PathExpr):
 
     name: str
 
-    def _own_variables(self) -> tuple[str, ...]:
-        return (self.name,)
+    def _note(self, children: tuple) -> None:
+        self.__dict__.update(size=1, free_variables=frozenset((self.name,)))
 
     def unparse(self) -> str:
         return f"${self.name}"
@@ -197,10 +231,11 @@ class ForLoop(PathExpr):
     def children(self) -> tuple[_Expr, ...]:
         return (self.source, self.body)
 
-    @cached_property
-    def free_variables(self) -> frozenset[str]:
-        return frozenset(
-            self.source.free_variables | (self.body.free_variables - {self.variable})
+    def _note(self, children: tuple) -> None:
+        self.__dict__.update(
+            size=1 + self.source.size + self.body.size,
+            free_variables=self.source.free_variables
+            | (self.body.free_variables - {self.variable}),
         )
 
     def unparse(self) -> str:
@@ -235,8 +270,9 @@ class CompTest(TestExpr):
     left: str
     right: str
 
-    def _own_variables(self) -> tuple[str, ...]:
-        return tuple(side for side in (self.left, self.right) if side != CONTEXT)
+    def _note(self, children: tuple) -> None:
+        names = frozenset(side for side in (self.left, self.right) if side != CONTEXT)
+        self.__dict__.update(size=1, free_variables=names)
 
     def unparse(self) -> str:
         left = "." if self.left == CONTEXT else f"${self.left}"

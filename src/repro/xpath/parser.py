@@ -21,11 +21,8 @@ be used.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.errors import ParseError
+from repro.lexer import Lexer, TokenParser
 from repro.trees.axes import parse_axis
 from repro.trees.tree import Tree  # noqa: F401  (re-exported for convenience in docs)
 from repro.xpath.ast import (
@@ -48,121 +45,57 @@ from repro.xpath.ast import (
     VarRef,
 )
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<axis_sep>::)
-  | (?P<variable>\$[A-Za-z_][\w\-.]*)
-  | (?P<name>[A-Za-z_][\w\-.]*)
-  | (?P<star>\*)
-  | (?P<dot>\.)
-  | (?P<slash>/)
-  | (?P<lbracket>\[)
-  | (?P<rbracket>\])
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-    """,
-    re.VERBOSE,
+_LEXER = Lexer(
+    {
+        "::": "axis_sep",
+        "*": "star",
+        ".": "dot",
+        "/": "slash",
+        "[": "lbracket",
+        "]": "rbracket",
+        "(": "lparen",
+        ")": "rparen",
+    },
+    ("union", "intersect", "except", "for", "in", "return", "and", "or", "not", "is"),
+    r"[A-Za-z_][\w\-.]*",
+    sigil="$",
 )
 
-_KEYWORDS = frozenset(
-    {"union", "intersect", "except", "for", "in", "return", "and", "or", "not", "is"}
-)
+#: Tokens that only a test can hold: a parenthesised group holding one of
+#: them outside nested brackets cannot be a path.
+_TEST_ONLY = frozenset({"and", "or", "not", "is"})
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            raise ParseError(f"unexpected character {text[position]!r}", position)
-        kind = match.lastgroup
-        assert kind is not None
-        value = match.group()
-        if kind != "ws":
-            if kind == "name" and value in _KEYWORDS:
-                kind = value
-            tokens.append(_Token(kind, value, position))
-        position = match.end()
-    return tokens
-
-
-class _Parser:
+class _Parser(TokenParser):
     """Recursive-descent parser over the token stream."""
 
+    lexer = _LEXER
+
     def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    # ------------------------------------------------------------- utilities
-    def peek(self, offset: int = 0) -> Optional[_Token]:
-        index = self.index + offset
-        if index < len(self.tokens):
-            return self.tokens[index]
-        return None
-
-    def at(self, kind: str, offset: int = 0) -> bool:
-        token = self.peek(offset)
-        return token is not None and token.kind == kind
-
-    def advance(self) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.index += 1
-        return token
-
-    def expect(self, kind: str) -> _Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError(f"expected {kind!r} but reached end of input", len(self.text))
-        if token.kind != kind:
-            raise ParseError(
-                f"expected {kind!r} but found {token.text!r}", token.position
-            )
-        return self.advance()
-
-    def error(self, message: str) -> ParseError:
-        token = self.peek()
-        position = token.position if token is not None else len(self.text)
-        return ParseError(message, position)
+        super().__init__(text)
+        self._verdicts: dict[int, bool] = {}
 
     # ------------------------------------------------------------------ path
     def parse_path(self) -> PathExpr:
-        return self.parse_for()
-
-    def parse_for(self) -> PathExpr:
-        if self.at("for"):
-            self.advance()
-            variable_token = self.expect("variable")
+        if self.kind == "for":
+            self.skip()
+            variable = self.expect("variable")
             self.expect("in")
-            source = self.parse_for()
+            source = self.parse_path()
             self.expect("return")
-            body = self.parse_for()
-            return ForLoop(variable_token.text[1:], source, body)
-        return self.parse_union()
-
-    def parse_union(self) -> PathExpr:
+            body = self.parse_path()
+            return ForLoop(variable[1:], source, body)
         left = self.parse_intersect_except()
-        while self.at("union"):
-            self.advance()
-            right = self.parse_intersect_except()
-            left = PathUnion(left, right)
+        while self.kind == "union":
+            self.skip()
+            left = PathUnion(left, self.parse_intersect_except())
         return left
 
     def parse_intersect_except(self) -> PathExpr:
         left = self.parse_composition()
-        while self.at("intersect") or self.at("except"):
-            operator = self.advance().kind
+        while self.kind == "intersect" or self.kind == "except":
+            operator = self.kind
+            self.skip()
             right = self.parse_composition()
             if operator == "intersect":
                 left = PathIntersect(left, right)
@@ -172,142 +105,158 @@ class _Parser:
 
     def parse_composition(self) -> PathExpr:
         left = self.parse_filtered()
-        while self.at("slash"):
-            self.advance()
-            right = self.parse_filtered()
-            left = PathCompose(left, right)
+        while self.kind == "slash":
+            self.skip()
+            left = PathCompose(left, self.parse_filtered())
         return left
 
     def parse_filtered(self) -> PathExpr:
-        expression = self.parse_primary()
-        while self.at("lbracket"):
-            self.advance()
+        """A primary (step, ``.``, variable or parenthesised path) and its filters."""
+        kind = self.kind
+        if kind == "name":
+            expression = self.parse_step()
+        elif kind == "dot":
+            self.skip()
+            expression = ContextItem()
+        elif kind == "variable":
+            expression = VarRef(self.texts[self.index][1:])
+            self.skip()
+        elif kind == "lparen":
+            self.skip()
+            expression = self.parse_path()
+            self.expect("rparen")
+        elif kind == "end":
+            raise self.error("expected a path expression")
+        else:
+            raise self.error(f"unexpected token {self.texts[self.index]!r} in path expression")
+        while self.kind == "lbracket":
+            self.skip()
             test = self.parse_test()
             self.expect("rbracket")
             expression = Filter(expression, test)
         return expression
 
-    def parse_primary(self) -> PathExpr:
-        token = self.peek()
-        if token is None:
-            raise self.error("expected a path expression")
-        if token.kind == "dot":
-            self.advance()
-            return ContextItem()
-        if token.kind == "variable":
-            self.advance()
-            return VarRef(token.text[1:])
-        if token.kind == "lparen":
-            self.advance()
-            inner = self.parse_path()
-            self.expect("rparen")
-            return inner
-        if token.kind in ("name", "self"):
-            return self.parse_step()
-        raise self.error(f"unexpected token {token.text!r} in path expression")
-
     def parse_step(self) -> PathExpr:
-        axis_token = self.advance()
-        if not self.at("axis_sep"):
+        start = self.index
+        kinds = self.kinds
+        axis_name = self.texts[start]
+        if kinds[start + 1] != "axis_sep":
             raise ParseError(
-                f"expected '::' after axis name {axis_token.text!r} "
+                f"expected '::' after axis name {axis_name!r} "
                 "(Core XPath requires explicit axes)",
-                axis_token.position,
+                self.position(start),
             )
-        self.advance()
         try:
-            axis = parse_axis(axis_token.text)
+            axis = parse_axis(axis_name)
         except Exception as exc:  # noqa: BLE001 - re-raise as ParseError
-            raise ParseError(str(exc), axis_token.position) from exc
-        if self.at("star"):
-            self.advance()
-            return Step(axis, None)
-        name_token = self.expect("name")
-        return Step(axis, name_token.text)
+            raise ParseError(str(exc), self.position(start)) from exc
+        self.index = start + 2
+        self.kind = kind = kinds[start + 2]
+        if kind == "star":
+            step = Step(axis, None)
+        elif kind == "name":
+            step = Step(axis, self.texts[start + 2])
+        else:
+            self.expect("name")  # raises
+        self.skip()
+        return step
 
     # ----------------------------------------------------------------- tests
     def parse_test(self) -> TestExpr:
-        return self.parse_or_test()
-
-    def parse_or_test(self) -> TestExpr:
         left = self.parse_and_test()
-        while self.at("or"):
-            self.advance()
-            right = self.parse_and_test()
-            left = OrTest(left, right)
+        while self.kind == "or":
+            self.skip()
+            left = OrTest(left, self.parse_and_test())
         return left
 
     def parse_and_test(self) -> TestExpr:
         left = self.parse_not_test()
-        while self.at("and"):
-            self.advance()
-            right = self.parse_not_test()
-            left = AndTest(left, right)
+        while self.kind == "and":
+            self.skip()
+            left = AndTest(left, self.parse_not_test())
         return left
 
     def parse_not_test(self) -> TestExpr:
-        if self.at("not"):
-            self.advance()
-            if self.at("lparen"):
+        if self.kind == "not":
+            self.skip()
+            if self.kind == "lparen":
                 # Accept both `not(T)` and `not T`; the parenthesised form is
                 # parsed as a test atom, which handles either a pure test or a
                 # path expression inside the parentheses.
-                inner = self.parse_test_atom()
-                return NotTest(inner)
+                return NotTest(self.parse_test_atom())
             return NotTest(self.parse_not_test())
         return self.parse_test_atom()
 
     def parse_test_atom(self) -> TestExpr:
+        kind = self.kind
         # Node comparison: NodeRef is NodeRef.
-        if self._at_noderef() and self.at("is", self._noderef_length()):
-            left = self._parse_noderef()
-            self.expect("is")
-            right = self._parse_noderef()
-            return CompTest(left, right)
-        if self.at("lparen"):
+        if (kind == "dot" or kind == "variable") and self.kinds[self.index + 1] == "is":
+            left = CONTEXT if kind == "dot" else self.texts[self.index][1:]
+            self.index += 2
+            self.kind = self.kinds[self.index]
+            return CompTest(left, self._parse_noderef())
+        if kind == "lparen":
             # Could be a parenthesised test (containing and/or/not/is) or a
             # parenthesised path expression; try the path route first because
             # it may continue with '/' after the closing parenthesis, and
-            # fall back to a test on failure.
+            # fall back to a test on failure.  A group that holds a test-only
+            # token cannot parse as a path, so it skips the path route.
             saved = self.index
-            try:
-                return PathTest(self.parse_path_no_boolean())
-            except ParseError:
-                self.index = saved
-            self.advance()  # consume '('
-            inner = self.parse_or_test()
+            if not self._not_a_path(saved):
+                try:
+                    return PathTest(self.parse_path())
+                except ParseError:
+                    self.index, self.kind = saved, kind
+            self.skip()  # consume '('
+            inner = self.parse_test()
             self.expect("rparen")
             return inner
-        return PathTest(self.parse_path_no_boolean())
+        return PathTest(self.parse_path())
 
-    def parse_path_no_boolean(self) -> PathExpr:
-        """Parse a path expression for use inside a test.
+    def _not_a_path(self, start: int) -> bool:
+        """Whether the group opened by the '(' at ``start`` cannot be a path.
 
-        Inside a test, ``and`` / ``or`` belong to the test grammar, so path
-        parsing must stop before them; this is exactly what the normal path
-        parser does because those keywords cannot continue a path.
+        It cannot when an ``and``, ``or``, ``not`` or ``is`` sits in it
+        outside nested brackets, or when a group directly inside it cannot.
+        The scan stops at the first such token; every group it passes to
+        the end is remembered, so no token is scanned twice.
         """
-        return self.parse_path()
-
-    def _at_noderef(self) -> bool:
-        return self.at("dot") or self.at("variable")
-
-    def _noderef_length(self) -> int:
-        return 1
+        verdicts = self._verdicts
+        if start in verdicts:
+            return verdicts[start]
+        kinds = self.kinds
+        open_groups = [start]
+        failing: set[int] = set()
+        index = start
+        while open_groups:
+            index += 1
+            kind = kinds[index]
+            if kind == "lparen" or kind == "lbracket":
+                open_groups.append(index)
+            elif kind == "rparen" or kind == "rbracket":
+                closed = open_groups.pop()
+                if kinds[closed] == "lparen":
+                    verdicts[closed] = closed in failing
+                    if verdicts[closed] and open_groups and kinds[open_groups[-1]] == "lparen":
+                        failing.add(open_groups[-1])
+            elif kind in _TEST_ONLY and kinds[open_groups[-1]] == "lparen":
+                if open_groups[-1] == start:
+                    verdicts[start] = True
+                    return True
+                failing.add(open_groups[-1])
+            elif kind == "end":
+                return False  # unbalanced: let the path route report it
+        return verdicts[start]
 
     def _parse_noderef(self) -> str:
-        token = self.advance()
-        if token.kind == "dot":
+        start = self.index
+        text = self.advance()
+        kind = self.kinds[start]
+        if kind == "dot":
             return CONTEXT
-        if token.kind == "variable":
-            return token.text[1:]
-        raise ParseError(f"expected '.' or a variable, found {token.text!r}", token.position)
-
-    # ------------------------------------------------------------- finishers
-    def finish(self) -> None:
-        token = self.peek()
-        if token is not None:
-            raise ParseError(f"unexpected trailing input {token.text!r}", token.position)
+        if kind == "variable":
+            return text[1:]
+        raise ParseError(f"expected '.' or a variable, found {text!r}", self.position(start))
 
 
 def parse_path(text: str) -> PathExpr:

@@ -25,6 +25,8 @@ from repro.xpath.ast import (
     steps,
     union_all,
 )
+from repro.fo.parser import parse_fo
+from repro.pplbin.parser import parse_pplbin
 from repro.xpath.parser import parse_path, parse_test
 
 
@@ -135,6 +137,60 @@ def test_parse_errors_report_position():
     with pytest.raises(ParseError) as excinfo:
         parse_path("child::a union")
     assert excinfo.value.position is not None
+
+
+#: ``(parser, text, message, position)`` for malformed inputs: stray
+#: characters, unbalanced brackets, trailing tokens, ``$`` without a name,
+#: keywords where a step belongs, empty input, and a parenthesised test atom
+#: that fails as a path and then as a test.  The Core XPath, PPLbin and FO
+#: parsers share one tokenizer, so all three appear.
+PARSE_ERRORS = [
+    (parse_path, 'descendant::a % child::b', "unexpected character '%' (at position 14)", 14),
+    (parse_path, 'descendant::a[child::b', "expected 'rbracket' but reached end of input (at position 22)", 22),
+    (parse_path, '(descendant::a', "expected 'rparen' but reached end of input (at position 14)", 14),
+    (parse_path, 'descendant::a)', "unexpected trailing input ')' (at position 13)", 13),
+    (parse_path, 'descendant::a child::b', "unexpected trailing input 'child' (at position 14)", 14),
+    (parse_path, 'descendant::a[. is $]', "unexpected character '$' (at position 19)", 19),
+    (parse_path, 'union::a', "unexpected token 'union' in path expression (at position 0)", 0),
+    (parse_path, '', 'expected a path expression (at position 0)', 0),
+    (parse_path, '   ', 'expected a path expression (at position 3)', 3),
+    (parse_path, 'descendant::a[]', "unexpected token ']' in path expression (at position 14)", 14),
+    (parse_path, 'descendant', "expected '::' after axis name 'descendant' (Core XPath requires explicit axes) (at position 0)", 0),
+    (parse_path, 'foo::a', "unknown axis 'foo' (at position 0)", 0),
+    (parse_path, 'descendant::a[not(child::b]', "expected 'rparen' but found ']' (at position 26)", 26),
+    (parse_path, 'for x in descendant::a return .', "expected 'variable' but found 'x' (at position 4)", 4),
+    (parse_path, 'for $x descendant::a return .', "expected 'in' but found 'descendant' (at position 7)", 7),
+    (parse_path, 'descendant::a/', 'expected a path expression (at position 14)', 14),
+    (parse_path, 'descendant::a[child::b and]', "unexpected token ']' in path expression (at position 26)", 26),
+    (parse_path, 'descendant::and', "expected 'name' but found 'and' (at position 12)", 12),
+    (parse_path, 'descendant::a[(child::b)/]', "expected 'rbracket' but found '/' (at position 24)", 24),
+    (parse_path, 'descendant::a[(child::b or child::c]', "expected 'rparen' but found ']' (at position 35)", 35),
+    (parse_path, 'descendant::a[. is]', "expected '.' or a variable, found ']' (at position 18)", 18),
+    (parse_path, 'descendant::a[not]', "unexpected token ']' in path expression (at position 17)", 17),
+    (parse_test, 'child::a and', 'expected a path expression (at position 12)', 12),
+    (parse_test, '. is . is .', "unexpected trailing input 'is' (at position 7)", 7),
+    (parse_pplbin, 'child::a % self', "unexpected character '%' (at position 9)", 9),
+    (parse_pplbin, 'except', 'expected a PPLbin expression (at position 6)', 6),
+    (parse_pplbin, 'child::a[self', "expected 'rbracket' but reached end of input (at position 13)", 13),
+    (parse_pplbin, 'self::', "expected 'name' but reached end of input (at position 6)", 6),
+    (parse_pplbin, 'child', "expected '::' after axis name 'child' (at position 0)", 0),
+    (parse_pplbin, '(child::a union', 'expected a PPLbin expression (at position 15)', 15),
+    (parse_fo, 'exists . x', "expected 'name' but found '.' (at position 7)", 7),
+    (parse_fo, 'lab[a](x', "expected 'rparen' but reached end of input (at position 8)", 8),
+    (parse_fo, 'x = ', "expected 'name' but reached end of input (at position 4)", 4),
+    (parse_fo, 'ch(x y)', "expected 'comma' but found 'y' (at position 5)", 5),
+    (parse_fo, 'x % y', "unexpected character '%' (at position 2)", 2),
+    (parse_fo, '', 'expected an atom (at position 0)', 0),
+    (parse_fo, 'ch(x,y) z', "unexpected trailing input 'z' (at position 8)", 8),
+]
+
+
+@pytest.mark.parametrize(("parser", "text", "message", "position"), PARSE_ERRORS)
+def test_parse_error_message_and_position(parser, text, message, position):
+    with pytest.raises(ParseError) as excinfo:
+        parser(text)
+    assert str(excinfo.value) == message
+    assert excinfo.value.position == position
 
 
 def test_parse_rejects_trailing_garbage():

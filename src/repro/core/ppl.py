@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.annotated import annotate
 from repro.errors import RestrictionViolation
 from repro.xpath.ast import (
     AndTest,
@@ -39,7 +40,6 @@ from repro.xpath.ast import (
     PathExpr,
     PathIntersect,
     TestExpr,
-    annotate,
 )
 from repro.xpath.parser import parse_path
 
@@ -67,21 +67,24 @@ class Violation:
         return f"{self.condition}: {self.message}"
 
 
-#: The conditions checked at each operator: ``(condition, whether the two
-#: operands' variables are joined (NV) or intersected (NVS), message tail)``.
+#: The condition each operator is checked against, with how its offending
+#: variables are found (all the operands', or those the two operands share)
+#: and the message that names them.
 _CHECKS = {
-    PathIntersect: ("NV(intersect)", True, "occur inside an intersect"),
-    PathExcept: ("NV(except)", True, "occur inside an except"),
-    PathCompose: ("NVS(/)", False, "are shared across a composition"),
-    Filter: ("NVS([])", False, "are shared between a path and its filter"),
-    AndTest: ("NVS(and)", False, "are shared across a conjunction"),
+    ForLoop: ("N(for)", None, ""),
+    PathIntersect: ("NV(intersect)", "all", "occur inside an intersect"),
+    PathExcept: ("NV(except)", "all", "occur inside an except"),
+    NotTest: ("NV(not)", "all", "occur below a negation"),
+    PathCompose: ("NVS(/)", "shared", "are shared across a composition"),
+    Filter: ("NVS([])", "shared", "are shared between a path and its filter"),
+    AndTest: ("NVS(and)", "shared", "are shared across a conjunction"),
 }
 
 
 def ppl_violations(expression: PathExpr | TestExpr | str) -> list[Violation]:
     """Return every violation of Definition 1 found in ``expression``.
 
-    One pass over the expression (:func:`repro.xpath.ast.annotate`) fills
+    One pass over the expression (:func:`repro.annotated.annotate`) fills
     every sub-expression's free variables bottom-up; the conditions then
     read them, so the check is linear in ``|P|``.  Violations are listed in
     preorder.
@@ -90,31 +93,20 @@ def ppl_violations(expression: PathExpr | TestExpr | str) -> list[Violation]:
     violations: list[Violation] = []
     for sub, children in annotate(parsed):
         check = _CHECKS.get(type(sub))
-        if check is not None:
-            condition, joined, tail = check
-            left, right = children
-            if joined:
-                offending = left.free_variables | right.free_variables
-            else:
-                offending = left.free_variables & right.free_variables
-            if offending:
-                names = ", ".join(sorted(offending))
-                violations.append(Violation(condition, f"variables {{{names}}} {tail}", sub))
-        elif isinstance(sub, ForLoop):
-            violations.append(
-                Violation(
-                    "N(for)",
-                    f"for-loop over ${sub.variable} is not allowed in PPL",
-                    sub,
-                )
-            )
-        elif isinstance(sub, NotTest):
-            offending = sub.test.free_variables
-            if offending:
-                names = ", ".join(sorted(offending))
-                violations.append(
-                    Violation("NV(not)", f"variables {{{names}}} occur below a negation", sub)
-                )
+        if check is None:
+            continue
+        condition, how, tail = check
+        if how is None:
+            message = f"for-loop over ${sub.variable} is not allowed in PPL"
+            violations.append(Violation(condition, message, sub))
+            continue
+        if how == "all":
+            offending = frozenset().union(*(child.free_variables for child in children))
+        else:
+            offending = children[0].free_variables & children[1].free_variables
+        if offending:
+            names = ", ".join(sorted(offending))
+            violations.append(Violation(condition, f"variables {{{names}}} {tail}", sub))
     return violations
 
 

@@ -53,59 +53,62 @@ def ppl_to_hcl(
     return _translate_path(expression)
 
 
-#: Variable free by NV(intersect)/NV(except)/NV(not): one PPLbin leaf each.
-_ONE_LEAF = (x.PathIntersect, x.PathExcept, x.NotTest)
+#: The chained operators and their images: the parser builds ``/``,
+#: ``union``, ``[]``, ``and`` and ``or`` chains left-deep in a loop.
+_CHAINS = {
+    x.PathCompose: HCompose,
+    # A filter test is a partial identity, so the filter is a composition.
+    x.Filter: HCompose,
+    x.AndTest: HCompose,
+    x.PathUnion: HUnion,
+    x.OrTest: HUnion,
+}
 
 
-def _translate_path(expression: x.PathExpr) -> HclExpr:
-    """Fig. 7, bottom-up over the expression without recursion.
+def _translate_path(expression: x._Expr) -> HclExpr:
+    """Fig. 7, for a path or a filter test.
 
-    Sub-expressions are listed in preorder, right child first (nothing is
-    listed below an ``intersect``, an ``except`` or a ``not``, which become
-    one leaf), and translated in reverse: each node then finds its
-    children's images on top of the stack, the right one last.
+    A chain is walked down its left spine in a loop, so however long it is
+    it does not deepen the stack; only right operands and the operands of
+    ``[T]``-tests recurse, as deep as the parser itself recursed to build
+    them (brackets and parentheses).
     """
-    order: list[x._Expr] = []
-    stack: list[x._Expr] = [expression]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if not isinstance(node, _ONE_LEAF):
-            stack.extend(node.children())
-    images: list[HclExpr] = []
-    push, pop = images.append, images.pop
-    for node in reversed(order):
+    spine = []
+    node = expression
+    kind = type(node)
+    while kind in _CHAINS:
+        spine.append(node)
+        node = node.path if kind is x.Filter else node.left
         kind = type(node)
-        if kind is x.Step:
-            push(Leaf(BStep(node.axis, node.nametest)))
-        elif kind is x.Filter or kind is x.AndTest or kind is x.PathCompose:
-            # A filter test is a partial identity: the filter is a composition.
-            right = pop()
-            push(HCompose(pop(), right))
-        elif kind is x.PathTest:
-            push(HFilter(pop()))
-        elif kind is x.CompTest:
-            push(_comparison(node.left, node.right))
-        elif kind is x.OrTest or kind is x.PathUnion:
-            right = pop()
-            push(HUnion(pop(), right))
-        elif kind is x.ContextItem:
-            push(Leaf(SelfStep()))
-        elif kind is x.VarRef:
-            # $x  =  nodes/x : jump to an arbitrary node, require it to be alpha(x).
-            push(HCompose(Leaf(nodes_query()), HVar(node.name)))
-        elif kind is x.PathIntersect or kind is x.PathExcept:
-            push(Leaf(from_core_xpath(node)))
-        elif kind is x.NotTest:
-            # The partial identity selecting the nodes satisfying `not T`.
-            push(Leaf(pb_translate._negate_test(node.test)))
-        elif kind is x.ForLoop:  # pragma: no cover - rejected by check_ppl
-            raise TranslationError("for-loops cannot occur in PPL expressions")
-        elif isinstance(node, x.TestExpr):
-            raise TranslationError(f"cannot translate test {node!r} into HCL")
-        else:
-            raise TranslationError(f"cannot translate {node!r} into HCL")
-    return images[0]
+    if kind is x.Step:
+        image = Leaf(BStep(node.axis, node.nametest))
+    elif kind is x.PathTest:
+        image = HFilter(_translate_path(node.path))
+    elif kind is x.CompTest:
+        image = _comparison(node.left, node.right)
+    elif kind is x.ContextItem:
+        image = Leaf(SelfStep())
+    elif kind is x.VarRef:
+        # $x  =  nodes/x : jump to an arbitrary node, require it to be alpha(x).
+        image = HCompose(Leaf(nodes_query()), HVar(node.name))
+    elif kind is x.PathIntersect or kind is x.PathExcept:
+        # Variable free by NV(intersect)/NV(except): one PPLbin leaf via Fig. 4.
+        image = Leaf(from_core_xpath(node))
+    elif kind is x.NotTest:
+        # Variable free by NV(not): one PPLbin leaf for the partial identity
+        # selecting the nodes satisfying `not T`.
+        image = Leaf(pb_translate._negate_test(node.test))
+    elif kind is x.ForLoop:  # pragma: no cover - rejected by check_ppl
+        raise TranslationError("for-loops cannot occur in PPL expressions")
+    elif isinstance(node, x.TestExpr):
+        raise TranslationError(f"cannot translate test {node!r} into HCL")
+    else:
+        raise TranslationError(f"cannot translate {node!r} into HCL")
+    for parent in reversed(spine):
+        kind = type(parent)
+        right = parent.test if kind is x.Filter else parent.right
+        image = _CHAINS[kind](image, _translate_path(right))
+    return image
 
 
 def _comparison(left: str, right: str) -> HclExpr:

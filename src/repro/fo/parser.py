@@ -18,7 +18,6 @@ formulas round-trip through the parser.
 
 from __future__ import annotations
 
-from repro.errors import ParseError
 from repro.fo.ast import (
     And,
     ChStar,

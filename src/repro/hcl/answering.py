@@ -48,6 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.annotated import annotate
 from repro.errors import RestrictionViolation
 from repro.pplbin.ast import BExcept
 from repro.trees.axes import equijoin, tree_arrays
@@ -57,14 +58,13 @@ from repro.hcl.binding import BinaryQueryOracle, setwise_oracle
 from repro.hcl.mc import MCTable
 from repro.hcl.plan import FILTER, LEAF, SELF, UNION, VAR, Fig8Plan, compile_plan
 from repro.hcl.sharing import EquationSystem, SharedExpr, normalize
-from repro.xpath.ast import annotate
 
 
 def check_no_variable_sharing(formula: HclExpr) -> None:
     """Enforce NVS(/): no variable occurs on both sides of a composition.
 
     One pass fills every sub-formula's variables bottom-up
-    (:func:`repro.xpath.ast.annotate`), so the check is linear in ``|C|``.
+    (:func:`repro.annotated.annotate`), so the check is linear in ``|C|``.
 
     Raises
     ------

@@ -17,29 +17,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterator, Mapping, Sequence
 
+from repro.annotated import Annotated
 from repro.errors import EvaluationError, UnboundVariableError
-from repro.pickling import strip_cached_properties
 from repro.trees.tree import Tree
-from repro.xpath.ast import _Expr, annotate
 
 
-class HclExpr:
-    """Base class of HCL composition formulas."""
+class HclExpr(Annotated):
+    """Base class of HCL composition formulas.
 
-    def __getstate__(self) -> dict:
-        return strip_cached_properties(self)
-
-    @cached_property
-    def size(self) -> int:
-        """Composition size |C|: leaves count 1 regardless of their own size."""
-        annotate(self, every=False)
-        return self.__dict__["size"]
-
-    @cached_property
-    def free_variables(self) -> frozenset[str]:
-        """The variables occurring in the formula."""
-        annotate(self, every=False)
-        return self.__dict__["free_variables"]
+    ``size`` is the composition size ``|C|`` (a leaf counts 1 whatever its
+    own size) and ``free_variables`` the variables occurring in the
+    formula; both are filled for a whole formula in one pass
+    (:func:`repro.annotated.annotate`).
+    """
 
     @cached_property
     def answer_plans(self) -> dict:
@@ -50,21 +40,6 @@ class HclExpr:
         cached property it is left out of pickles.
         """
         return {}
-
-    def children(self) -> tuple["HclExpr", ...]:
-        """Direct sub-formulas."""
-        return ()
-
-    # Filled bottom-up by :func:`repro.xpath.ast.annotate`, as for XPath.
-    _note = _Expr._note
-
-    def walk(self) -> Iterator["HclExpr"]:
-        """Yield this formula and all sub-formulas (preorder)."""
-        stack: list[HclExpr] = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children()))
 
     def leaves(self) -> Iterator["Leaf"]:
         """Yield every leaf (binary query) of the formula."""

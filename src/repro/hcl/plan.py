@@ -41,8 +41,6 @@ from repro.hcl.sharing import (
 
 SELF, UNION, LEAF, VAR, FILTER = range(5)
 
-_NONE: frozenset[str] = frozenset()
-
 
 @dataclass(frozen=True)
 class Fig8Plan:
@@ -188,28 +186,42 @@ def compile_plan(
     if index is not None:
         index.update(positions)
     wanted = frozenset(output)
-    # Var(D0) of each instruction; one set object is shared down a chain
-    # that adds no variable, so its sorted domain is computed once.
-    variables: list[frozenset[str]] = []
+    # One pass, children first: each instruction's domain and readers, and
+    # its layout.  A layout lists, for column 0 (the start node) and each
+    # name of the domain, its column in the table built so far, whose
+    # column 0 is the start node (``None`` stands for it below).
     users = [0] * len(instructions)
+    domains: list[tuple[str, ...]] = []
+    layouts: list = []
     for opcode, first, second in instructions:
         if opcode == SELF:
-            variables.append(_NONE)
+            domains.append(())
+            layouts.append(None)
             continue
-        own = variables[second]
         users[second] += 1
-        if opcode == UNION or opcode == FILTER:
+        tail = domains[second]
+        if opcode == LEAF or (opcode == VAR and first not in wanted):
+            domains.append(tail)
+            layouts.append(None)
+        elif opcode == VAR:
+            domain = tail if first in tail else tuple(sorted((first, *tail)))
+            domains.append(domain)
+            # The variable's column is a copy of the start column.
+            layouts.append((0, *map((first, *tail).index, domain)))
+        else:
             users[first] += 1
-            if variables[first]:
-                own = own | variables[first] if own else variables[first]
-        elif opcode == VAR and first not in own:
-            own = own | {first}
-        variables.append(own)
-    sorted_domains: dict[frozenset[str], tuple[str, ...]] = {}
-    for names in variables:
-        if names not in sorted_domains:
-            sorted_domains[names] = tuple(sorted(names & wanted))
-    domains = tuple(map(sorted_domains.__getitem__, variables))
+            other = domains[first]
+            domain = tuple(sorted({*other, *tail})) if other and tail else other or tail
+            domains.append(domain)
+            if opcode == FILTER:
+                layouts.append((0, *map((None, *other, *tail).index, domain)))
+                continue
+            sides = []
+            for side in (other, tail):
+                missing = [name for name in domain if name not in side]
+                columns = (None, *side, *missing)
+                sides.append((len(missing), (0, *map(columns.index, domain))))
+            layouts.append(tuple(sides))
     root = positions[id(formula)]
     projected = [False] * len(instructions)
     projected[root] = True
@@ -222,35 +234,13 @@ def compile_plan(
         if opcode == UNION:
             projected[first] = users[first] == 1
         projected[second] = users[second] == 1
-
-    # A layout lists, for column 0 (the start node) and each name of the
-    # domain, its column in the table built so far, whose column 0 is the
-    # start node (the placeholder ``None`` stands for it).
-    layouts: list = []
-    for position, (opcode, first, second) in enumerate(instructions):
-        if opcode == LEAF or opcode == SELF or (opcode == VAR and first not in wanted):
-            layouts.append(None)
-        elif opcode == VAR:
-            # The variable's column is a copy of the start column.
-            layouts.append((0, *map((first, *domains[second]).index, domains[position])))
-        elif opcode == FILTER:
-            columns = (None, *domains[first], *domains[second])
-            layouts.append((0, *map(columns.index, domains[position])))
-        else:  # UNION
-            domain = domains[position]
-            sides = []
-            for side in (first, second):
-                missing = [name for name in domain if name not in domains[side]]
-                columns = (None, *domains[side], *missing)
-                sides.append((len(missing), (0, *map(columns.index, domain))))
-            layouts.append(tuple(sides))
     missing = [name for name in sorted(set(output)) if name not in domains[root]]
     columns = list(domains[root]) + missing
     final = (len(missing), tuple(columns.index(name) for name in output))
     return Fig8Plan(
         instructions=tuple(instructions),
         root=root,
-        domains=domains,
+        domains=tuple(domains),
         users=tuple(users),
         projected=tuple(projected),
         layouts=tuple(layouts),

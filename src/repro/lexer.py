@@ -44,7 +44,6 @@ class Lexer:
         words = [re.escape(sigil) + name] if sigil else []
         self.pattern = re.compile("|".join([*map(re.escape, symbols), *words, name, r"\S"]))
         self.kinds = {**punctuation, **{keyword: keyword for keyword in keywords}}
-        self.sigil = sigil
 
     def tokenize(self, text: str) -> tuple[list[str], list[str]]:
         """Return ``(kinds, texts)`` of ``text``'s tokens, ``end`` last.

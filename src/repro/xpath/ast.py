@@ -14,58 +14,22 @@ is its bare name ``"x"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
-from repro.pickling import strip_cached_properties
+from repro.annotated import Annotated
 from repro.trees.axes import Axis
 
 #: Sentinel used in comparison tests for the context item ``.``.
 CONTEXT = "."
 
 
-class _Expr:
-    """Shared helpers for path and test expressions."""
+class _Expr(Annotated):
+    """Shared helpers for path and test expressions.
 
-    def __getstate__(self) -> dict:
-        return strip_cached_properties(self)
-
-    @cached_property
-    def size(self) -> int:
-        """Number of AST nodes — the paper's term size ``|P|``."""
-        annotate(self, every=False)
-        return self.__dict__["size"]
-
-    @cached_property
-    def free_variables(self) -> frozenset[str]:
-        """The set ``Var(P)`` of variables occurring free in the expression."""
-        annotate(self, every=False)
-        return self.__dict__["free_variables"]
-
-    def children(self) -> tuple["_Expr", ...]:
-        """Direct sub-expressions."""
-        return ()
-
-    def _note(self, children: tuple["_Expr", ...]) -> None:
-        """Store ``size`` and ``free_variables`` from the children's."""
-        size = 1
-        names = _EMPTY
-        for child in children:
-            size += child.size
-            more = child.free_variables
-            if more:
-                names = names | more if names else more
-        state = self.__dict__
-        state["size"] = size
-        state["free_variables"] = names
-
-    def walk(self) -> Iterator["_Expr"]:
-        """Yield this expression and every sub-expression (preorder)."""
-        stack: list[_Expr] = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children()))
+    ``size`` is the paper's term size ``|P|`` and ``free_variables`` the
+    set ``Var(P)``; both are filled for a whole expression in one pass
+    (:func:`repro.annotated.annotate`).
+    """
 
     def unparse(self) -> str:
         """Return concrete syntax for the expression."""
@@ -73,35 +37,6 @@ class _Expr:
 
     def __str__(self) -> str:
         return self.unparse()
-
-
-_EMPTY: frozenset[str] = frozenset()
-
-
-def annotate(root: _Expr, every: bool = True) -> list[tuple[_Expr, tuple]]:
-    """Fill ``size`` and ``free_variables`` of every sub-expression of ``root``.
-
-    Returns the sub-expressions in preorder, each with its children (with
-    ``every=False``, only those not filled before, and none below them).
-    Each sub-expression's ``children()`` is called once and the values are
-    built bottom-up from the children's (reverse preorder lists every node
-    after its descendants), so the pass is linear in ``|P|`` and does not
-    recurse: a deep expression does not hit the recursion limit.
-    """
-    order: list[tuple[_Expr, tuple]] = []
-    stack: list[_Expr] = [root]
-    while stack:
-        node = stack.pop()
-        if not every and "free_variables" in node.__dict__:
-            continue
-        children = node.children()
-        order.append((node, children))
-        if children:
-            stack.extend(reversed(children))
-    for node, children in reversed(order):
-        if "free_variables" not in node.__dict__:
-            node._note(children)
-    return order
 
 
 class PathExpr(_Expr):

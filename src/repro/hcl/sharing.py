@@ -162,51 +162,39 @@ def normalize(formula: HclExpr) -> tuple[SharedExpr, EquationSystem]:
     composition share their continuation through a fresh parameter instead of
     copying it.
 
-    ``convert(C, K)`` (the sharing formula of ``C`` followed by ``K``) runs
-    on an explicit task stack rather than recursively, so deep formulas do
-    not hit the recursion limit.  A task ``(C, K)`` with ``K`` of ``None``
-    takes its continuation from the top of the result stack; a composition
-    converts its right side first and hands the result to its left side.
+    ``convert(C, K)`` is the sharing formula of ``C`` followed by ``K``.  A
+    chain of compositions or of unions is walked down its left spine in a
+    loop, so however long it is it does not deepen the stack; only right
+    sides and filter bodies recurse, as deep as they are nested.
     """
     system = EquationSystem()
-    results: list[SharedExpr] = []
-    tasks: list[tuple] = [(formula, SharedSelf())]
-    while tasks:
-        expr, continuation = tasks.pop()
-        if expr is _UNION_DONE:
-            right = results.pop()
-            results.append(SharedUnion(results.pop(), right))
-            continue
-        if expr is _FILTER_DONE:
-            results.append(SharedCompose(HeadFilter(results.pop()), continuation))
-            continue
-        if continuation is None:
-            continuation = results.pop()
+
+    def convert(expr: HclExpr, continuation: SharedExpr) -> SharedExpr:
+        # convert(C/C', K) = convert(C, convert(C', K)): right sides first.
+        while type(expr) is HCompose:
+            continuation = convert(expr.right, continuation)
+            expr = expr.left
         kind = type(expr)
-        if kind is HCompose:
-            tasks.append((expr.left, None))
-            tasks.append((expr.right, continuation))
-        elif kind is Leaf:
-            results.append(SharedCompose(HeadLeaf(expr.query), continuation))
-        elif kind is HVar:
-            results.append(SharedCompose(HeadVar(expr.name), continuation))
-        elif kind is HFilter:
-            tasks.append((_FILTER_DONE, continuation))
-            tasks.append((expr.inner, SharedSelf()))
-        elif kind is HUnion:
+        if kind is Leaf:
+            return SharedCompose(HeadLeaf(expr.query), continuation)
+        if kind is HVar:
+            return SharedCompose(HeadVar(expr.name), continuation)
+        if kind is HFilter:
+            return SharedCompose(HeadFilter(convert(expr.inner, SharedSelf())), continuation)
+        if kind is HUnion:
             if not isinstance(continuation, (SharedSelf, SharedParam)):
                 continuation = system.fresh(continuation)
-            tasks.append((_UNION_DONE, None))
-            tasks.append((expr.right, continuation))
-            tasks.append((expr.left, continuation))
-        else:
-            raise EvaluationError(f"unknown HCL formula {expr!r}")
-    return results[0], system
+            rights = []
+            while type(expr) is HUnion:
+                rights.append(expr.right)
+                expr = expr.left
+            shared = convert(expr, continuation)
+            for right in reversed(rights):
+                shared = SharedUnion(shared, convert(right, continuation))
+            return shared
+        raise EvaluationError(f"unknown HCL formula {expr!r}")
 
-
-#: Task markers of :func:`normalize`: wrap the results on top of the stack.
-_FILTER_DONE = object()
-_UNION_DONE = object()
+    return convert(formula, SharedSelf()), system
 
 
 def expand(formula: SharedExpr, system: EquationSystem) -> HclExpr:

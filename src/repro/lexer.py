@@ -127,7 +127,10 @@ class TokenParser:
                     f"expected {kind!r} but reached end of input", len(self.text)
                 )
             raise self.error(f"expected {kind!r} but found {self.texts[self.index]!r}")
-        return self.advance()
+        index = self.index
+        self.index = index + 1
+        self.kind = self.kinds[index + 1]
+        return self.texts[index]
 
     def error(self, message: str) -> ParseError:
         """A :class:`ParseError` at the current token."""

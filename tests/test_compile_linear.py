@@ -84,3 +84,13 @@ def test_a_long_chain_compiles_plans_and_answers():
     conjuncts = "".join(f"<c{index}/>" for index in range(2000))
     document = Document.from_xml(f"<doc><r><a/><b/>{conjuncts}</r><r><a/><b/></r></doc>")
     assert document.answerer.answer(query.hcl, variables) == frozenset({(2, 3)})
+
+
+@pytest.mark.parametrize("joiner", [" or ", " union ", "/"])
+def test_long_disjunctions_unions_and_paths_compile(joiner):
+    parts = joiner.join(f"child::c{index}" for index in range(2000))
+    text = f"descendant::r[. is $x][{parts}]/child::b[. is $y]"
+    query = compile_query(text, ("x", "y"))
+    plan = plan_for(query.hcl, ("x", "y"))
+    assert query.expression_size > 4000
+    assert plan.domains[plan.root] == ("x", "y")

@@ -22,6 +22,21 @@ END = "end"
 
 _NAME_START = frozenset(string.ascii_letters + "_")
 
+#: The symbols of the path syntaxes (Core XPath and PPLbin) and their kinds.
+PATH_SYMBOLS = {
+    "::": "axis_sep",
+    "*": "star",
+    ".": "dot",
+    "/": "slash",
+    "[": "lbracket",
+    "]": "rbracket",
+    "(": "lparen",
+    ")": "rparen",
+}
+
+#: A word of the path syntaxes: an axis or a name test.
+PATH_NAME = r"[A-Za-z_][\w\-.]*"
+
 
 class Lexer:
     """A tokenizer for one grammar.

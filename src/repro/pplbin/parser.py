@@ -17,7 +17,7 @@ AST only ever contains the Fig. 3 operators.
 from __future__ import annotations
 
 from repro.errors import ParseError
-from repro.lexer import Lexer, TokenParser
+from repro.lexer import PATH_NAME, PATH_SYMBOLS, Lexer, TokenParser
 from repro.trees.axes import parse_axis
 from repro.pplbin.ast import (
     BCompose,
@@ -32,18 +32,9 @@ from repro.pplbin.ast import (
 )
 
 _LEXER = Lexer(
-    {
-        "::": "axis_sep",
-        "*": "star",
-        ".": "dot",
-        "/": "slash",
-        "[": "lbracket",
-        "]": "rbracket",
-        "(": "lparen",
-        ")": "rparen",
-    },
+    PATH_SYMBOLS,
     ("union", "intersect", "except", "self"),
-    r"[A-Za-z_][\w\-.]*",
+    PATH_NAME,
 )
 
 

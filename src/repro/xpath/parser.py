@@ -22,7 +22,7 @@ be used.
 from __future__ import annotations
 
 from repro.errors import ParseError
-from repro.lexer import Lexer, TokenParser
+from repro.lexer import PATH_NAME, PATH_SYMBOLS, Lexer, TokenParser
 from repro.trees.axes import parse_axis
 from repro.trees.tree import Tree  # noqa: F401  (re-exported for convenience in docs)
 from repro.xpath.ast import (
@@ -46,18 +46,9 @@ from repro.xpath.ast import (
 )
 
 _LEXER = Lexer(
-    {
-        "::": "axis_sep",
-        "*": "star",
-        ".": "dot",
-        "/": "slash",
-        "[": "lbracket",
-        "]": "rbracket",
-        "(": "lparen",
-        ")": "rparen",
-    },
+    PATH_SYMBOLS,
     ("union", "intersect", "except", "for", "in", "return", "and", "or", "not", "is"),
-    r"[A-Za-z_][\w\-.]*",
+    PATH_NAME,
     sigil="$",
 )
 

@@ -70,6 +70,7 @@ class Lexer:
         """
         texts = self.pattern.findall(text)
         kinds = list(map(self.kinds.get, texts))
+        # What the table does not know is a word or a stray character.
         index = -1
         try:
             while True:

@@ -142,15 +142,11 @@ class _Parser(TokenParser):
         except Exception as exc:  # noqa: BLE001 - re-raise as ParseError
             raise ParseError(str(exc), self.position(start)) from exc
         self.index = start + 2
-        self.kind = kind = kinds[start + 2]
-        if kind == "star":
-            step = Step(axis, None)
-        elif kind == "name":
-            step = Step(axis, self.texts[start + 2])
-        else:
-            self.expect("name")  # raises
-        self.skip()
-        return step
+        self.kind = kinds[start + 2]
+        if self.kind == "star":
+            self.skip()
+            return Step(axis, None)
+        return Step(axis, self.expect("name"))
 
     # ----------------------------------------------------------------- tests
     def parse_test(self) -> TestExpr:

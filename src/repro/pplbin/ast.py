@@ -48,6 +48,8 @@ class BinExpr:
         state = self.__dict__
         value = state.get("_hash")
         if value is None:
+            if self.children():
+                _hash_below(self)
             fields = [state[name] for name in self.__dataclass_fields__]
             value = state["_hash"] = hash((type(self), *fields))
         return value
@@ -162,6 +164,23 @@ class BFilter(BinExpr):
 
     def unparse(self) -> str:
         return f"[{self.operand.unparse()}]"
+
+
+def _hash_below(expression: BinExpr) -> None:
+    """Hash every sub-expression below ``expression``, children first.
+
+    An explicit stack, so a deep expression (a long negated chain) hashes
+    without recursing: each hash then reads its children's stored hashes.
+    """
+    pending = []
+    stack = list(expression.children())
+    while stack:
+        node = stack.pop()
+        if "_hash" not in node.__dict__:
+            pending.append(node)
+            stack.extend(node.children())
+    for node in reversed(pending):
+        hash(node)
 
 
 # ----------------------------------------------------------------- builders

@@ -39,6 +39,35 @@ from repro.pplbin.ast import (
 )
 
 
+def _spine(node: x._Expr, chains: dict) -> tuple[x._Expr, list]:
+    """Walk down the left operands of a chain of ``chains`` operators.
+
+    Returns the leftmost operand and the chain's operators, innermost
+    first.  The parser builds ``/``, ``union``, ``intersect``/``except``,
+    ``[]``, ``and`` and ``or`` chains left-deep in a loop, so the
+    translations below walk them in a loop too and recurse only into right
+    operands, as deep as the parser itself recursed.
+    """
+    spine = []
+    while type(node) in chains:
+        spine.append(node)
+        node = node.path if type(node) is x.Filter else node.left
+    spine.reverse()
+    return node, spine
+
+
+_PATH_CHAINS = {
+    x.PathCompose: BCompose,
+    x.PathUnion: BUnion,
+    x.PathIntersect: binary_intersect,
+    x.PathExcept: binary_except,
+    x.Filter: BCompose,
+}
+_TEST_CHAINS = {x.AndTest: BCompose, x.OrTest: BUnion}
+# de Morgan: not(T1 and T2) = not T1 or not T2, and the other way round.
+_NEGATED_CHAINS = {x.AndTest: BUnion, x.OrTest: BCompose}
+
+
 def from_core_xpath(expression: x.PathExpr) -> BinExpr:
     """Translate a variable-free Core XPath 2.0 path expression into PPLbin.
 
@@ -51,33 +80,25 @@ def from_core_xpath(expression: x.PathExpr) -> BinExpr:
         If the expression uses variables, for-loops or node comparisons
         involving variables.
     """
-    if isinstance(expression, x.Step):
-        return BStep(expression.axis, expression.nametest)
-    if isinstance(expression, x.ContextItem):
-        return SelfStep()
-    if isinstance(expression, x.VarRef):
+    node, spine = _spine(expression, _PATH_CHAINS)
+    if isinstance(node, x.Step):
+        result: BinExpr = BStep(node.axis, node.nametest)
+    elif isinstance(node, x.ContextItem):
+        result = SelfStep()
+    elif isinstance(node, x.VarRef):
         raise TranslationError(
-            f"variable ${expression.name} is not allowed in PPLbin (condition N($x))"
+            f"variable ${node.name} is not allowed in PPLbin (condition N($x))"
         )
-    if isinstance(expression, x.ForLoop):
+    elif isinstance(node, x.ForLoop):
         raise TranslationError("for-loops are not allowed in PPLbin (condition N($x))")
-    if isinstance(expression, x.PathCompose):
-        return BCompose(from_core_xpath(expression.left), from_core_xpath(expression.right))
-    if isinstance(expression, x.PathUnion):
-        return BUnion(from_core_xpath(expression.left), from_core_xpath(expression.right))
-    if isinstance(expression, x.PathIntersect):
-        return binary_intersect(
-            from_core_xpath(expression.left), from_core_xpath(expression.right)
-        )
-    if isinstance(expression, x.PathExcept):
-        return binary_except(
-            from_core_xpath(expression.left), from_core_xpath(expression.right)
-        )
-    if isinstance(expression, x.Filter):
-        return BCompose(
-            from_core_xpath(expression.path), test_to_pplbin(expression.test)
-        )
-    raise TranslationError(f"cannot translate {expression!r} into PPLbin")
+    else:
+        raise TranslationError(f"cannot translate {node!r} into PPLbin")
+    for parent in spine:
+        if type(parent) is x.Filter:
+            result = BCompose(result, test_to_pplbin(parent.test))
+        else:
+            result = _PATH_CHAINS[type(parent)](result, from_core_xpath(parent.right))
+    return result
 
 
 def test_to_pplbin(test: x.TestExpr) -> BinExpr:
@@ -87,43 +108,43 @@ def test_to_pplbin(test: x.TestExpr) -> BinExpr:
     test, so composing it on the right of a path implements the filter
     ``P[T]`` (Fig. 4's ``[T]_test`` translation).
     """
-    if isinstance(test, x.PathTest):
-        return BFilter(from_core_xpath(test.path))
-    if isinstance(test, x.CompTest):
-        if test.left == x.CONTEXT and test.right == x.CONTEXT:
-            return SelfStep()
-        raise TranslationError(
-            "node comparisons involving variables are not allowed in PPLbin"
-        )
-    if isinstance(test, x.AndTest):
-        return BCompose(test_to_pplbin(test.left), test_to_pplbin(test.right))
-    if isinstance(test, x.OrTest):
-        return BUnion(test_to_pplbin(test.left), test_to_pplbin(test.right))
-    if isinstance(test, x.NotTest):
-        return _negate_test(test.test)
-    raise TranslationError(f"cannot translate test {test!r} into PPLbin")
+    node, spine = _spine(test, _TEST_CHAINS)
+    if isinstance(node, x.PathTest):
+        result = BFilter(from_core_xpath(node.path))
+    elif isinstance(node, x.CompTest):
+        if node.left != x.CONTEXT or node.right != x.CONTEXT:
+            raise TranslationError(
+                "node comparisons involving variables are not allowed in PPLbin"
+            )
+        result = SelfStep()
+    elif isinstance(node, x.NotTest):
+        result = _negate_test(node.test)
+    else:
+        raise TranslationError(f"cannot translate test {node!r} into PPLbin")
+    for parent in spine:
+        result = _TEST_CHAINS[type(parent)](result, test_to_pplbin(parent.right))
+    return result
 
 
 def _negate_test(test: x.TestExpr) -> BinExpr:
     """Translate ``not T`` by pushing the negation through the test structure."""
-    if isinstance(test, x.PathTest):
-        return complement_filter(from_core_xpath(test.path))
-    if isinstance(test, x.CompTest):
-        if test.left == x.CONTEXT and test.right == x.CONTEXT:
-            # not(. is .) holds nowhere.
-            return binary_except(SelfStep(), SelfStep())
-        raise TranslationError(
-            "node comparisons involving variables are not allowed in PPLbin"
-        )
-    if isinstance(test, x.AndTest):
-        # de Morgan: not(T1 and T2) = not T1 or not T2.
-        return BUnion(_negate_test(test.left), _negate_test(test.right))
-    if isinstance(test, x.OrTest):
-        # de Morgan: not(T1 or T2) = not T1 and not T2.
-        return BCompose(_negate_test(test.left), _negate_test(test.right))
-    if isinstance(test, x.NotTest):
-        return test_to_pplbin(test.test)
-    raise TranslationError(f"cannot translate negated test {test!r} into PPLbin")
+    node, spine = _spine(test, _NEGATED_CHAINS)
+    if isinstance(node, x.PathTest):
+        result = complement_filter(from_core_xpath(node.path))
+    elif isinstance(node, x.CompTest):
+        if node.left != x.CONTEXT or node.right != x.CONTEXT:
+            raise TranslationError(
+                "node comparisons involving variables are not allowed in PPLbin"
+            )
+        # not(. is .) holds nowhere.
+        result = binary_except(SelfStep(), SelfStep())
+    elif isinstance(node, x.NotTest):
+        result = test_to_pplbin(node.test)
+    else:
+        raise TranslationError(f"cannot translate negated test {node!r} into PPLbin")
+    for parent in spine:
+        result = _NEGATED_CHAINS[type(parent)](result, _negate_test(parent.right))
+    return result
 
 
 def to_core_xpath(expression: BinExpr) -> x.PathExpr:

@@ -94,3 +94,20 @@ def test_long_disjunctions_unions_and_paths_compile(joiner):
     plan = plan_for(query.hcl, ("x", "y"))
     assert query.expression_size > 4000
     assert plan.domains[plan.root] == ("x", "y")
+
+
+def test_a_long_variable_free_chain_compiles_to_pplbin_and_answers():
+    tests = " and ".join(f"child::c{index}" for index in range(2000))
+    query = compile_query(f"descendant::r[{tests}]", ())
+    assert query.pplbin is not None
+    conjuncts = "".join(f"<c{index}/>" for index in range(2000))
+    document = Document.from_xml(f"<doc><r>{conjuncts}</r><r><c0/></r></doc>")
+    assert document.answerer.answer(query.hcl, ()) == frozenset({()})
+
+
+def test_a_long_negated_disjunction_compiles_and_plans():
+    # not(...) becomes one PPLbin leaf 2,000 operators deep; planning hashes it.
+    tests = " or ".join(f"child::c{index}" for index in range(2000))
+    query = compile_query(f"descendant::r[not({tests})][. is $x]", ("x",))
+    plan = plan_for(query.hcl, ("x",))
+    assert plan.domains[plan.root] == ("x",)

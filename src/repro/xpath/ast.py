@@ -92,7 +92,7 @@ class PathCompose(PathExpr):
         return (self.left, self.right)
 
     def unparse(self) -> str:
-        return f"{_wrap(self.left)}/{_wrap(self.right)}"
+        return _unparse_chain(self)
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ class PathUnion(PathExpr):
         return (self.left, self.right)
 
     def unparse(self) -> str:
-        return f"({self.left.unparse()} union {self.right.unparse()})"
+        return _unparse_chain(self)
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class PathIntersect(PathExpr):
         return (self.left, self.right)
 
     def unparse(self) -> str:
-        return f"({self.left.unparse()} intersect {self.right.unparse()})"
+        return _unparse_chain(self)
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ class PathExcept(PathExpr):
         return (self.left, self.right)
 
     def unparse(self) -> str:
-        return f"({self.left.unparse()} except {self.right.unparse()})"
+        return _unparse_chain(self)
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ class Filter(PathExpr):
         return (self.path, self.test)
 
     def unparse(self) -> str:
-        return f"{_wrap(self.path)}[{self.test.unparse()}]"
+        return _unparse_chain(self)
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ class AndTest(TestExpr):
         return (self.left, self.right)
 
     def unparse(self) -> str:
-        return f"({self.left.unparse()} and {self.right.unparse()})"
+        return _unparse_chain(self)
 
 
 @dataclass(frozen=True)
@@ -253,17 +253,52 @@ class OrTest(TestExpr):
         return (self.left, self.right)
 
     def unparse(self) -> str:
-        return f"({self.left.unparse()} or {self.right.unparse()})"
+        return _unparse_chain(self)
 
 
 NodeExpr = Union[PathExpr, TestExpr]
 
 
-def _wrap(expression: PathExpr) -> str:
-    """Parenthesise sub-expressions that bind less tightly than ``/``."""
-    if isinstance(expression, (PathUnion, PathIntersect, PathExcept, ForLoop)):
-        return expression.unparse()  # these already parenthesise themselves
-    return expression.unparse()
+#: ``(opening, infix, closing)`` syntax of the operators the parser chains.
+_CHAIN_SYNTAX = {
+    PathCompose: ("", "/", ""),
+    PathUnion: ("(", " union ", ")"),
+    PathIntersect: ("(", " intersect ", ")"),
+    PathExcept: ("(", " except ", ")"),
+    Filter: ("", "[", "]"),
+    AndTest: ("(", " and ", ")"),
+    OrTest: ("(", " or ", ")"),
+}
+
+
+def _unparse_chain(expression: _Expr) -> str:
+    """Concrete syntax of a chained operator, walked down its left spine.
+
+    The parser builds ``/``, ``union``, ``intersect``/``except``, ``[]``,
+    ``and`` and ``or`` chains left-deep in a loop; rendering one here in a
+    loop joins its pieces once, so a chain of any length takes linear time
+    and does not deepen the stack.  Only right operands recurse.
+    """
+    kind = type(expression)
+    if kind is Filter:
+        left, right = expression.path, expression.test
+    else:
+        left, right = expression.left, expression.right
+    opening, infix, closing = _CHAIN_SYNTAX[kind]
+    if type(left) not in _CHAIN_SYNTAX:
+        return f"{opening}{left.unparse()}{infix}{right.unparse()}{closing}"
+    spine = [expression]
+    node = left
+    while type(node) in _CHAIN_SYNTAX:
+        spine.append(node)
+        node = node.path if type(node) is Filter else node.left
+    pieces = [_CHAIN_SYNTAX[type(parent)][0] for parent in spine]
+    pieces.append(node.unparse())
+    for parent in reversed(spine):
+        _, infix, closing = _CHAIN_SYNTAX[type(parent)]
+        right = parent.test if type(parent) is Filter else parent.right
+        pieces += (infix, right.unparse(), closing)
+    return "".join(pieces)
 
 
 # ------------------------------------------------------------------ builders

@@ -16,9 +16,10 @@ import math
 
 import pytest
 
-from repro.api import Document, compile_query
+from repro.api import compile_query
 from repro.hcl.answering import plan_for
 from repro.hcl.ast import HclExpr
+from repro.session import Session
 from repro.xpath.ast import _Expr
 
 #: Largest growth of the visit count allowed per doubling of ``k``.
@@ -74,16 +75,18 @@ def test_visits_grow_linearly_with_the_chain(visits):
         assert high <= bound * low, (small, low, large, high)
 
 
-def test_a_long_chain_compiles_plans_and_answers():
+def test_a_long_chain_compiles_plans_and_answers_through_a_session():
     text, variables = chain(2000)
     query = compile_query(text, variables)
     plan = plan_for(query.hcl, variables)
     assert query.expression_size > 6000
     assert query.hcl_size > 4000
     assert len(plan.instructions) > 2000
+    assert len(query.plan_text) > 30000
     conjuncts = "".join(f"<c{index}/>" for index in range(2000))
-    document = Document.from_xml(f"<doc><r><a/><b/>{conjuncts}</r><r><a/><b/></r></doc>")
-    assert document.answerer.answer(query.hcl, variables) == frozenset({(2, 3)})
+    with Session() as session:
+        session.add_xml("doc", f"<doc><r><a/><b/>{conjuncts}</r><r><a/><b/></r></doc>")
+        assert session.query("doc", text, variables) == frozenset({(2, 3)})
 
 
 @pytest.mark.parametrize("joiner", [" or ", " union ", "/"])
@@ -98,11 +101,12 @@ def test_long_disjunctions_unions_and_paths_compile(joiner):
 
 def test_a_long_variable_free_chain_compiles_to_pplbin_and_answers():
     tests = " and ".join(f"child::c{index}" for index in range(2000))
-    query = compile_query(f"descendant::r[{tests}]", ())
-    assert query.pplbin is not None
+    text = f"descendant::r[{tests}]"
+    assert compile_query(text, ()).pplbin is not None
     conjuncts = "".join(f"<c{index}/>" for index in range(2000))
-    document = Document.from_xml(f"<doc><r>{conjuncts}</r><r><c0/></r></doc>")
-    assert document.answerer.answer(query.hcl, ()) == frozenset({()})
+    with Session() as session:
+        session.add_xml("doc", f"<doc><r>{conjuncts}</r><r><c0/></r></doc>")
+        assert session.query("doc", text, ()) == frozenset({()})
 
 
 def test_a_long_negated_disjunction_compiles_and_plans():

@@ -34,8 +34,9 @@ class BinExpr:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        # Set before @dataclass runs, which then keeps it (frozen, eq).
+        # Set before @dataclass runs, which then keeps them (frozen, eq).
         cls.__hash__ = BinExpr.__hash__
+        cls.__eq__ = BinExpr.__eq__
 
     def __getstate__(self) -> dict:
         return strip_cached_properties(self)
@@ -54,6 +55,30 @@ class BinExpr:
             value = state["_hash"] = hash((type(self), *fields))
         return value
 
+    def __eq__(self, other: object) -> bool:
+        # Structural equality, as the dataclass would compare, but over an
+        # explicit stack: equal leaves meet in cache lookups, and a long
+        # negated chain is as deep as it is long.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack: list[tuple[BinExpr, BinExpr]] = [(self, other)]
+        while stack:
+            left, right = stack.pop()
+            if left is right:
+                continue
+            if left.__class__ is not right.__class__:
+                return False
+            known, other_known = left.__dict__.get("_hash"), right.__dict__.get("_hash")
+            if known is not None and other_known is not None and known != other_known:
+                return False
+            for name in left.__dataclass_fields__:
+                mine, theirs = getattr(left, name), getattr(right, name)
+                if isinstance(mine, BinExpr):
+                    stack.append((mine, theirs))
+                elif mine != theirs:
+                    return False
+        return True
+
     @cached_property
     def _hash(self) -> int:
         """The cached structural hash (a cached slot, so pickles leave it out)."""
@@ -62,7 +87,18 @@ class BinExpr:
     @cached_property
     def size(self) -> int:
         """Number of AST nodes — the paper's expression size ``|P|``."""
-        return 1 + sum(child.size for child in self.children())
+        # Children first over an explicit stack; each size lands in the
+        # node's cached slot, so a shared sub-expression is counted once.
+        pending = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if "size" not in node.__dict__:
+                pending.append(node)
+                stack.extend(node.children())
+        for node in reversed(pending):
+            node.__dict__["size"] = 1 + sum(child.size for child in node.children())
+        return self.__dict__["size"]
 
     def children(self) -> tuple["BinExpr", ...]:
         """Direct sub-expressions."""

@@ -26,7 +26,7 @@ cached relation.
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -73,17 +73,27 @@ def evaluate_relation(
     resolved = bx.get_kernel(kernel)
     cache = tree.matrix_cache() if use_cache else {}
     token = resolved.cache_token
-
-    def recurse(node: BinExpr) -> bx.Relation:
+    # Children first, left to right, on an explicit stack: a long negated
+    # chain is as deep as it is long.  Every visit asks the cache, as a
+    # recursive walk would; results are kept here too, because the cache
+    # may evict a child before its parent reads it.
+    results: dict[int, bx.Relation] = {}
+    stack: list[tuple[BinExpr, bool]] = [(parsed, False)]
+    while stack:
+        node, expanded = stack.pop()
         key = ("pplbin-rel", node, token)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        result = _evaluate(tree, node, recurse, resolved)
+        if not expanded:
+            cached = cache.get(key)
+            if cached is not None:
+                results[id(node)] = cached
+                continue
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node.children()))
+            continue
+        operands = [results[id(child)] for child in node.children()]
+        result = results[id(node)] = _evaluate(tree, node, operands, resolved)
         cache[key] = result
-        return result
-
-    return recurse(parsed)
+    return results[id(parsed)]
 
 
 def evaluate_matrix(
@@ -103,9 +113,10 @@ def evaluate_matrix(
 def _evaluate(
     tree: Tree,
     node: BinExpr,
-    recurse: Callable[[BinExpr], bx.Relation],
+    operands: list[bx.Relation],
     kernel: bx.Kernel,
 ) -> bx.Relation:
+    """One operator of ``node`` over its children's relations ``operands``."""
     if isinstance(node, BStep):
         relation = axis_relation(tree, node.axis, kernel)
         if node.nametest is None:
@@ -118,8 +129,7 @@ def _evaluate(
     if isinstance(node, SelfStep):
         return kernel.identity(tree.size)
     if isinstance(node, BCompose):
-        left = recurse(node.left)
-        right = recurse(node.right)
+        left, right = operands
         # Operands evaluate before the span opens so nested compositions
         # don't inflate the parent's compose timing.
         if not _trace.enabled():
@@ -140,11 +150,11 @@ def _evaluate(
         ):
             return kernel.compose(left, right)
     if isinstance(node, BUnion):
-        return kernel.union(recurse(node.left), recurse(node.right))
+        return kernel.union(*operands)
     if isinstance(node, BExcept):
-        return kernel.complement(recurse(node.operand))
+        return kernel.complement(*operands)
     if isinstance(node, BFilter):
-        return kernel.filter_diagonal(recurse(node.operand))
+        return kernel.filter_diagonal(*operands)
     raise EvaluationError(f"unknown PPLbin expression {node!r}")
 
 

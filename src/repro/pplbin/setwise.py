@@ -52,6 +52,24 @@ def _step_targets(tree: Tree, step: BStep, targets: np.ndarray) -> np.ndarray:
     return targets & label_vector(tree, step.nametest)
 
 
+def _chain(expression: BinExpr, operator: type) -> list[BinExpr]:
+    """The operands of a chain of one associative ``operator``, left to right.
+
+    Walked with an explicit stack, so set-at-a-time steps over a long
+    composition or union recurse only into its operands.
+    """
+    parts: list[BinExpr] = []
+    stack = [expression]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, operator):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            parts.append(node)
+    return parts
+
+
 def preimage(
     tree: Tree, expression: BinExpr, targets: np.ndarray, relation: RelationFn
 ) -> np.ndarray:
@@ -61,12 +79,15 @@ def preimage(
     if isinstance(expression, SelfStep):
         return targets
     if isinstance(expression, BCompose):
-        inner = preimage(tree, expression.right, targets, relation)
-        return preimage(tree, expression.left, inner, relation)
+        for part in reversed(_chain(expression, BCompose)):
+            targets = preimage(tree, part, targets, relation)
+        return targets
     if isinstance(expression, BUnion):
-        return preimage(tree, expression.left, targets, relation) | preimage(
-            tree, expression.right, targets, relation
-        )
+        parts = iter(_chain(expression, BUnion))
+        result = preimage(tree, next(parts), targets, relation)
+        for part in parts:
+            result = result | preimage(tree, part, targets, relation)
+        return result
     if isinstance(expression, BFilter):
         everything = np.ones(tree.size, dtype=bool)
         return targets & preimage(tree, expression.operand, everything, relation)
@@ -85,12 +106,15 @@ def image(
     if isinstance(expression, SelfStep):
         return sources
     if isinstance(expression, BCompose):
-        middle = image(tree, expression.left, sources, relation)
-        return image(tree, expression.right, middle, relation)
+        for part in _chain(expression, BCompose):
+            sources = image(tree, part, sources, relation)
+        return sources
     if isinstance(expression, BUnion):
-        return image(tree, expression.left, sources, relation) | image(
-            tree, expression.right, sources, relation
-        )
+        parts = iter(_chain(expression, BUnion))
+        result = image(tree, next(parts), sources, relation)
+        for part in parts:
+            result = result | image(tree, part, sources, relation)
+        return result
     if isinstance(expression, BFilter):
         everything = np.ones(tree.size, dtype=bool)
         return sources & preimage(tree, expression.operand, everything, relation)

@@ -154,19 +154,33 @@ def to_core_xpath(expression: BinExpr) -> x.PathExpr:
     ``nodes except P`` where ``nodes`` is the universal relation expression
     of Section 2, and the filter ``[P]`` as ``.[P]``.
     """
-    if isinstance(expression, BStep):
-        return x.Step(expression.axis, expression.nametest)
-    if isinstance(expression, SelfStep):
-        return x.ContextItem()
-    if isinstance(expression, BCompose):
-        return x.PathCompose(to_core_xpath(expression.left), to_core_xpath(expression.right))
-    if isinstance(expression, BUnion):
-        return x.PathUnion(to_core_xpath(expression.left), to_core_xpath(expression.right))
-    if isinstance(expression, BExcept):
-        return x.PathExcept(x.nodes_expression(), to_core_xpath(expression.operand))
-    if isinstance(expression, BFilter):
-        return x.Filter(x.ContextItem(), x.PathTest(to_core_xpath(expression.operand)))
-    raise TranslationError(f"cannot embed {expression!r} into Core XPath 2.0")
+    # Children first over an explicit stack, so a deep expression embeds
+    # without recursing.
+    done: dict[int, x.PathExpr] = {}
+    stack: list[tuple[BinExpr, bool]] = [(expression, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if not isinstance(node, (BStep, SelfStep, BCompose, BUnion, BExcept, BFilter)):
+            raise TranslationError(f"cannot embed {node!r} into Core XPath 2.0")
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.children())
+            continue
+        parts = [done[id(child)] for child in node.children()]
+        if isinstance(node, BStep):
+            result = x.Step(node.axis, node.nametest)
+        elif isinstance(node, SelfStep):
+            result = x.ContextItem()
+        elif isinstance(node, BCompose):
+            result = x.PathCompose(*parts)
+        elif isinstance(node, BUnion):
+            result = x.PathUnion(*parts)
+        elif isinstance(node, BExcept):
+            result = x.PathExcept(x.nodes_expression(), *parts)
+        else:
+            result = x.Filter(x.ContextItem(), x.PathTest(*parts))
+        done[id(node)] = result
+    return done[id(expression)]
 
 
 #: Re-export of the universal PPLbin query, named as in the paper.

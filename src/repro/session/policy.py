@@ -37,10 +37,11 @@ from repro._config import UNSET
 
 # ------------------------------------------------------------- environment
 #: Environment variables of the execution chain, one per policy field.
-#: ``REPRO_KERNEL`` and ``REPRO_MATRIX_CACHE_BYTES`` predate this module
-#: (they are also read by :mod:`repro.pplbin.bitmatrix` and
-#: :mod:`repro.trees.tree` for process-wide defaults); the rest are new
-#: with the Session API.
+#: ``REPRO_KERNEL`` and ``REPRO_MATRIX_CACHE_BYTES`` predate this module:
+#: :mod:`repro.pplbin.bitmatrix` still reads the first for its process-wide
+#: default, and :mod:`repro.trees.tree` resolves a tree's default matrix
+#: budget through :data:`DEFAULT_EXECUTION`; the rest are new with the
+#: Session API.
 ENGINE_ENV = "REPRO_ENGINE"
 KERNEL_ENV = "REPRO_KERNEL"
 STRATEGY_ENV = "REPRO_STRATEGY"
@@ -313,6 +314,13 @@ class ExecutionPolicy:
     def explain(self) -> dict[str, Resolved]:
         """The full resolution table: every field's value and winning layer."""
         return {name: self.resolve(name) for name in _EXECUTION_DEFAULTS}
+
+
+#: The policy that pins nothing: its resolutions are env > default.  A tree
+#: built without an explicit matrix budget takes ``matrix_cache_bytes`` from
+#: it, so that budget follows the same chain (and ``explain()``) as every
+#: other knob.
+DEFAULT_EXECUTION = ExecutionPolicy()
 
 
 def _execution_defaults() -> dict[str, Any]:

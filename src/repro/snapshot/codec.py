@@ -8,10 +8,11 @@ off the tree's arrays, and a relation the Theorem 2 evaluator needs is
 rebuilt from them in O(|t| log |t|) plus its size.  The layout is designed
 for O(1) loads: a fixed prefix, one JSON header describing every array
 (dtype, offset, shape), then a 64-byte-aligned little-endian body that a
-memory map exposes to numpy without parsing or copying.  Reconstructing the
-:class:`Tree` wrapper converts the mapped columns to lists; its child lists,
-sibling links and label index are derived on first use
-(:meth:`repro.trees.tree.Tree.from_columns`).
+memory map exposes to numpy without parsing or copying.  The columns are
+exactly a tree's storage (:class:`repro.trees.tree.Columns`): encoding
+writes them as they are and decoding hands the mapped arrays to the
+:class:`Tree` constructor; the tree's sibling links and Python list views
+are derived on first use.
 
 On-disk layout (format version 2)::
 
@@ -47,7 +48,7 @@ import numpy as np
 
 from repro._config import UNSET as _UNSET
 from repro.errors import ReproError
-from repro.trees.tree import Tree
+from repro.trees.tree import Columns, Tree
 
 #: Bump when the layout (prefix, header schema or column set) changes
 #: incompatibly; old files then fail validation and are rebuilt.
@@ -82,26 +83,13 @@ def encode_snapshot(tree: Tree, digest: str) -> bytes:
     from; it is stored inside the header so loads can revalidate identity.
     """
     size = tree.size
-    label_table: list[str] = []
-    label_ids_of: dict[str, int] = {}
-    label_ids = np.empty(size, dtype=np.uint32)
-    for uid, label in enumerate(tree.labels):
-        index = label_ids_of.get(label)
-        if index is None:
-            index = len(label_table)
-            label_ids_of[label] = index
-            label_table.append(label)
-        label_ids[uid] = index
-
-    parent = np.fromiter(
-        (-1 if p is None else p for p in tree.parent), dtype=np.int64, count=size
-    )
+    stored = tree.columns
     columns = {
-        "label_ids": label_ids,
-        "parent": parent,
-        "depth": np.asarray(tree.depth, dtype=np.int32),
-        "post": np.asarray(tree.post, dtype=np.int64),
-        "subtree_end": np.asarray(tree.subtree_end, dtype=np.int64),
+        "label_ids": stored.label_ids,
+        "parent": stored.parent,
+        "depth": stored.depth,
+        "post": stored.post,
+        "subtree_end": stored.end,
     }
     # Lay the body out: every array at a 64-byte-aligned offset (relative
     # to the body start, which is itself aligned), so memmap views land on
@@ -122,7 +110,7 @@ def encode_snapshot(tree: Tree, digest: str) -> bytes:
         "digest": digest,
         "size": size,
         "byteorder": "little",
-        "labels": label_table,
+        "labels": list(stored.label_names),
         "columns": column_meta,
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
@@ -276,14 +264,14 @@ def decode_snapshot(
 
     if not all(isinstance(label, str) for label in labels_table):
         raise SnapshotError(f"snapshot {path.name}: label dictionary is not all strings")
-    labels = np.array(labels_table, dtype=object)[label_ids].tolist()
-    parent_list: list = parent.tolist()
-    parent_list[0] = None
-    return Tree.from_columns(
-        labels=labels,
-        parent=parent_list,
-        depth=columns["depth"].tolist(),
-        post=columns["post"].tolist(),
-        subtree_end=columns["subtree_end"].tolist(),
+    return Tree(
+        Columns(
+            tuple(labels_table),
+            label_ids,
+            parent,
+            columns["depth"],
+            columns["post"],
+            subtree_end,
+        ),
         matrix_cache_bytes=matrix_cache_bytes,
     )

@@ -24,13 +24,13 @@ Three access paths are offered:
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from repro.errors import TreeError
 from repro.obs import trace as _trace
-from repro.trees.tree import Tree
+from repro.trees.tree import Tree, TreeArrays
 
 
 class Axis(str, enum.Enum):
@@ -235,92 +235,42 @@ def label_vector(tree: Tree, label: str | None) -> np.ndarray:
     """Return a Boolean vector selecting nodes with ``label``.
 
     ``label`` of ``None`` (the ``*`` name test) selects every node.  The
-    vector is cached on the tree and returned read-only.  A label absent
-    from the tree shares one all-false entry, so a stream of never-matching
-    name tests does not grow the cache.
+    vector is one comparison over the label id column, cached on the tree
+    (or forest) and returned read-only.  A label absent from the tree shares
+    one all-false entry, so a stream of never-matching name tests does not
+    grow the cache.
     """
     cache = tree.matrix_cache()
-    nodes = () if label is None else tree.nodes_with_label(label)
-    absent = label is not None and not len(nodes)
+    code = None if label is None else tree.label_code(label)
+    absent = label is not None and code is None
     key = ("label-absent",) if absent else ("label", label)
     cached = cache.get(key)
     if cached is not None:
         return cached
     if label is None:
         vector = np.ones(tree.size, dtype=bool)
-    else:
+    elif absent:
         vector = np.zeros(tree.size, dtype=bool)
-        vector[np.asarray(nodes, dtype=np.int64)] = True
+    else:
+        vector = tree.label_ids == code
     vector.setflags(write=False)
     cache[key] = vector
     return vector
 
 
 # ----------------------------------------------------- set-at-a-time steps
-class TreeArrays:
-    """The tree's structure as int64 numpy columns (``-1`` = no such node).
-
-    ``parent``, ``end`` (``subtree_end``), ``first_child``, ``next_sibling``
-    and ``prev_sibling`` are indexed by node, and ``root`` holds each
-    node's document root: all 0 for one tree, the document's first node in
-    a :class:`repro.trees.forest.Forest`; ``roots`` lists the document
-    roots in order.  Every axis step of
-    :func:`axis_preimage` and :func:`axis_edges` is a handful of O(|t|)
-    vector operations over them (the Section 4 set-at-a-time evaluation).
-    """
-
-    __slots__ = (
-        "parent", "end", "first_child", "next_sibling", "prev_sibling", "nodes", "root", "roots",
-    )
-
-    def __init__(self, tree: Tree) -> None:
-        def column(values) -> np.ndarray:
-            return np.array([-1 if v is None else v for v in values], dtype=np.int64)
-
-        self.parent = column(tree.parent)
-        self.end = np.array(tree.subtree_end, dtype=np.int64)
-        self.first_child = column(kids[0] if kids else None for kids in tree.children_of)
-        self.next_sibling = column(tree.next_sibling)
-        self.prev_sibling = column(tree.prev_sibling)
-        self.nodes = np.arange(tree.size, dtype=np.int64)
-        self.root = np.zeros(tree.size, dtype=np.int64)
-        self.roots = np.zeros(1, dtype=np.int64)
-
-    @classmethod
-    def concatenate(cls, parts: Sequence["TreeArrays"]) -> "TreeArrays":
-        """The columns of several documents, each shifted by its offset.
-
-        Document roots keep ``parent == -1`` and no sibling links, so every
-        link-following axis stops at a document boundary by itself.
-        """
-        sizes = [part.nodes.size for part in parts]
-        offsets = np.cumsum([0] + sizes[:-1])
-        arrays = cls.__new__(cls)
-
-        def shifted(name: str) -> np.ndarray:
-            columns = []
-            for part, offset in zip(parts, offsets):
-                column = getattr(part, name)
-                columns.append(np.where(column >= 0, column + offset, -1))
-            return np.concatenate(columns)
-
-        for name in ("parent", "end", "first_child", "next_sibling", "prev_sibling", "root"):
-            setattr(arrays, name, shifted(name))
-        arrays.nodes = np.arange(sum(sizes), dtype=np.int64)
-        arrays.roots = np.concatenate([part.roots + offset for part, offset in zip(parts, offsets)])
-        return arrays
-
-    @property
-    def nbytes(self) -> int:
-        return sum(getattr(self, name).nbytes for name in self.__slots__)
-
-
 def tree_arrays(tree: Tree) -> TreeArrays:
-    """Return (and cache on the tree) the :class:`TreeArrays` of ``tree``."""
+    """Return the :class:`TreeArrays` of ``tree`` (or of a forest).
+
+    A tree derives them from its columns on first read and keeps them; the
+    lookup goes through the matrix cache so their bytes count against its
+    budget and its hit/miss counters, like every other structure the
+    evaluators read.
+    """
     cache = tree.matrix_cache()
     arrays = cache.get(("tree-arrays",))
     if arrays is None:
-        arrays = TreeArrays(tree)
+        arrays = tree.arrays
         cache[("tree-arrays",)] = arrays
     return arrays
 

@@ -11,7 +11,9 @@ at ``parent == -1``, and ``following``/``preceding`` are clipped to the
 document interval.
 
 A forest offers what the set-at-a-time Fig. 8 path reads from a tree
-(``size``, ``matrix_cache()``, ``nodes_with_label``), so one
+(``size``, ``arrays``, ``label_ids``/``label_code`` and ``matrix_cache()``):
+its label id column is the documents' columns, each remapped into one
+label table and concatenated.  So one
 :class:`repro.hcl.answering.HclAnswerer` run answers a query on every
 document at once and returns one answer set per document.  It offers no
 Theorem 2 relations: plans with an ``except`` leaf are answered one
@@ -20,7 +22,7 @@ document at a time.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,26 +33,32 @@ from repro.trees.tree import MatrixCache, Tree
 class Forest:
     """The concatenation of ``trees``, in order, as one node space."""
 
-    __slots__ = ("trees", "size", "_labels", "_matrix_cache", "_answerer")
+    __slots__ = (
+        "trees", "size", "arrays", "label_ids", "_label_codes", "_matrix_cache", "_answerer",
+    )
 
     def __init__(self, trees: Sequence[Tree]) -> None:
         self.trees = tuple(trees)
-        arrays = TreeArrays.concatenate([tree_arrays(tree) for tree in self.trees])
-        self.size = arrays.nodes.size
-        grouped: dict[str, list[np.ndarray]] = {}
-        for tree, offset in zip(self.trees, arrays.roots):
-            for label in tree.alphabet():
-                ids = np.asarray(tree.nodes_with_label(label), dtype=np.int64)
-                grouped.setdefault(label, []).append(ids + offset)
-        self._labels = {label: np.concatenate(ids) for label, ids in grouped.items()}
+        self.arrays = TreeArrays.concatenate([tree_arrays(tree) for tree in self.trees])
+        self.size = self.arrays.nodes.size
+        codes: dict[str, int] = {}
+        label_ids = []
+        for tree in self.trees:
+            remap = np.array(
+                [codes.setdefault(name, len(codes)) for name in tree.columns.label_names],
+                dtype=np.int64,
+            )
+            label_ids.append(remap[tree.label_ids])
+        self.label_ids = np.concatenate(label_ids)
+        self._label_codes = codes
         # The arrays plus label vectors, bounded by the alphabet: no budget.
         self._matrix_cache = MatrixCache(None)
-        self._matrix_cache[("tree-arrays",)] = arrays
+        self._matrix_cache[("tree-arrays",)] = self.arrays
         self._answerer = None
 
-    def nodes_with_label(self, label: str) -> np.ndarray:
-        """All nodes carrying ``label``, in forest order."""
-        return self._labels.get(label, np.zeros(0, dtype=np.int64))
+    def label_code(self, label: str) -> Optional[int]:
+        """The id of ``label`` in the forest's label table, or ``None``."""
+        return self._label_codes.get(label)
 
     def matrix_cache(self) -> MatrixCache:
         """The forest's own cache (its arrays and label vectors)."""

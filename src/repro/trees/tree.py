@@ -1,18 +1,33 @@
-"""Unranked sibling-ordered labeled trees.
+"""Unranked sibling-ordered labeled trees, stored as preorder columns.
 
 The paper's data model (Section 2) is the standard XPath abstraction: an
 unranked tree ``t = a(t1 ... tn)`` with node labels drawn from a finite
 alphabet.  Attributes, data values and namespaces are deliberately ignored.
 
-Two classes are provided:
+Nodes are identified by integers ``0 .. size-1`` in *document order*
+(preorder), which is what every evaluator in the library works with.  A
+:class:`Tree` is stored as numpy columns indexed by that id, the layout of a
+pre/post-order "accel" table (:class:`Columns`): a label id into the tree's
+label table, the parent (``-1`` at the root), the depth, the postorder
+number and the subtree end (a node's descendants are exactly the ids in
+``(u, end[u]]``).  The links the set-at-a-time Fig. 8 answerer reads
+(:class:`TreeArrays`) are computed from the parent column by vector
+operations on first use.
 
-* :class:`Node` — a lightweight mutable builder: a label and a list of child
-  nodes.  Convenient for writing documents by hand and for generators.
-* :class:`Tree` — the indexed, immutable runtime representation.  Nodes are
-  identified by integers ``0 .. size-1`` in *document order* (preorder), which
-  is what every evaluator in the library works with.  The constructor
-  precomputes parents, child lists, sibling links, depths and preorder /
-  postorder intervals so that ancestor/descendant tests are O(1).
+Three ways in:
+
+* :func:`repro.trees.xml_io.tree_from_xml` writes the columns straight from
+  the XML parser's events through a :class:`ColumnBuilder`; no per-node
+  Python object is built.
+* :class:`Node` is a lightweight mutable builder for generators and tests:
+  ``Tree(node)`` drives the same :class:`ColumnBuilder` over it.
+* The snapshot loader (:mod:`repro.snapshot.codec`) hands its memory-mapped
+  columns to ``Tree(columns)`` as they are.
+
+The Python list views the naive engines and the public methods read
+(``labels``, ``parent`` with ``None`` at the root, ``depth``, ``post``,
+``subtree_end``, ``children_of``, ``next_sibling``/``prev_sibling`` and the
+label index) are likewise derived from the columns on first read and kept.
 
 All traversals are iterative, so arbitrarily deep documents do not hit
 Python's recursion limit.
@@ -20,12 +35,13 @@ Python's recursion limit.
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import TreeError
 
@@ -33,25 +49,22 @@ from repro.errors import TreeError
 #: sub-expression relations, label vectors and tree arrays).  Override per tree via
 #: the ``matrix_cache_bytes`` constructor argument or process-wide with the
 #: ``REPRO_MATRIX_CACHE_BYTES`` environment variable (empty string or ``0``
-#: = unbounded, matching the seed's behaviour).
+#: = unbounded, matching the seed's behaviour), which
+#: :mod:`repro.session.policy` resolves.
 DEFAULT_MATRIX_CACHE_BYTES = 256 * 1024 * 1024
 
 #: Sentinel distinguishing "use the default budget" from an explicit None
 #: (= unbounded) in the :class:`Tree` constructor — the one shared instance
-#: from :mod:`repro._config`, since :meth:`Tree.from_columns` receives it
-#: across module boundaries (the snapshot loader forwards the store's
-#: setting verbatim).
+#: from :mod:`repro._config`, since the snapshot loader forwards the store's
+#: setting verbatim across module boundaries.
 from repro._config import UNSET as _UNSET
 
 
 def _default_cache_budget() -> Optional[int]:
-    raw = os.environ.get("REPRO_MATRIX_CACHE_BYTES")
-    if raw is None:
-        return DEFAULT_MATRIX_CACHE_BYTES
-    raw = raw.strip()
-    if not raw or raw == "0":
-        return None
-    return int(raw)
+    """The budget of a tree no caller pinned one for: env > default."""
+    from repro.session.policy import DEFAULT_EXECUTION
+
+    return DEFAULT_EXECUTION.resolved("matrix_cache_bytes")
 
 
 def estimate_value_bytes(value) -> int:
@@ -306,6 +319,222 @@ def tree_from_tuple(data) -> "Tree":
     return Tree(build(data))
 
 
+class Columns(NamedTuple):
+    """One tree as preorder columns: the storage a :class:`Tree` indexes.
+
+    ``label_ids[u]`` indexes ``label_names``, which lists each label once in
+    order of first occurrence; ``parent`` is ``-1`` at the root; ``end[u]``
+    is the last preorder id in ``u``'s subtree.  Every array has one entry
+    per node.
+    """
+
+    label_names: tuple[str, ...]
+    label_ids: np.ndarray
+    parent: np.ndarray
+    depth: np.ndarray
+    post: np.ndarray
+    end: np.ndarray
+
+
+class ColumnBuilder:
+    """Collects a tree's :class:`Columns` from its open and close events.
+
+    ``start(tag)`` opens an element as the next preorder id, ``end()`` closes
+    the innermost open one and ``close()`` returns the columns.  The object
+    is an ``xml.etree.ElementTree.XMLParser`` target (the parser's attribute
+    dict is ignored), and ``Tree(node)`` drives it over a :class:`Node`.
+    ``label``, when given, maps a raw tag to its label once per distinct tag
+    (the XML loader strips namespaces there).
+
+    The parser calls ``start`` and ``end`` once per element, so they are
+    closures over the column lists with their methods bound in advance: the
+    per-element cost is the load path's cost.
+    """
+
+    __slots__ = ("start", "end", "close")
+
+    def __init__(self, label: Optional[Callable[[str], str]] = None) -> None:
+        codes: dict[str, int] = {}  # raw tag -> label id
+        names: dict[str, int] = {}  # label -> label id
+        label_ids: list[int] = []
+        parent: list[int] = []
+        depth: list[int] = []
+        closed: list[int] = []  # node ids in closing (post) order
+        opened: list[int] = [-1]  # the open elements, under a root sentinel
+
+        def start(
+            tag: str,
+            attrib=None,
+            add_label=label_ids.append,
+            add_parent=parent.append,
+            add_depth=depth.append,
+            push=opened.append,
+            count=len,
+        ) -> None:
+            code = codes.get(tag)
+            if code is None:
+                code = codes[tag] = names.setdefault(
+                    tag if label is None else label(tag), count(names)
+                )
+            add_parent(opened[-1])
+            add_depth(count(opened) - 1)
+            push(count(label_ids))
+            add_label(code)
+
+        def end(tag=None, pop=opened.pop, add_closed=closed.append) -> None:
+            add_closed(pop())
+
+        def close() -> Columns:
+            size = len(label_ids)
+            post = np.empty(size, dtype=np.int64)
+            post[np.array(closed, dtype=np.int64)] = np.arange(size, dtype=np.int64)
+            depths = np.array(depth, dtype=np.int64)
+            # A node closes after its descendants, which follow it in
+            # preorder, and after every earlier node but its ancestors:
+            # post[u] = end[u] - depth[u].
+            return Columns(
+                tuple(names),
+                np.array(label_ids, dtype=np.int32),
+                np.array(parent, dtype=np.int64),
+                depths,
+                post,
+                post + depths,
+            )
+
+        self.start = start
+        self.end = end
+        self.close = close
+
+
+class TreeArrays:
+    """The tree's structure as int64 numpy columns (``-1`` = no such node).
+
+    ``parent``, ``end`` (``subtree_end``), ``first_child``, ``next_sibling``
+    and ``prev_sibling`` are indexed by node, and ``root`` holds each
+    node's document root: all 0 for one tree, the document's first node in
+    a :class:`repro.trees.forest.Forest`; ``roots`` lists the document
+    roots in order.  Every axis step of :func:`repro.trees.axes.axis_preimage`
+    and :func:`repro.trees.axes.axis_edges` is a handful of O(|t|) vector
+    operations over them (the Section 4 set-at-a-time evaluation).
+    """
+
+    __slots__ = (
+        "parent", "end", "first_child", "next_sibling", "prev_sibling", "nodes", "root", "roots",
+    )
+
+    def __init__(self, parent: np.ndarray, end: np.ndarray) -> None:
+        size = parent.size
+        # Sorted stably by parent, each node's children are neighbours in
+        # document order, so sibling links pair up equal neighbours and a
+        # run's head is its parent's first child.
+        order = np.argsort(parent, kind="stable")
+        grouped = parent[order]
+        same = grouped[1:] == grouped[:-1]
+        left, right = order[:-1][same], order[1:][same]
+        self.next_sibling = np.full(size, -1, dtype=np.int64)
+        self.next_sibling[left] = right
+        self.prev_sibling = np.full(size, -1, dtype=np.int64)
+        self.prev_sibling[right] = left
+        heads = np.flatnonzero(np.concatenate(([True], ~same)))
+        owners = grouped[heads]
+        inner = owners >= 0
+        self.first_child = np.full(size, -1, dtype=np.int64)
+        self.first_child[owners[inner]] = order[heads[inner]]
+        self.parent = np.asarray(parent, dtype=np.int64)
+        self.end = np.asarray(end, dtype=np.int64)
+        self.nodes = np.arange(size, dtype=np.int64)
+        self.root = np.zeros(size, dtype=np.int64)
+        self.roots = np.zeros(1, dtype=np.int64)
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["TreeArrays"]) -> "TreeArrays":
+        """The columns of several documents, each shifted by its offset.
+
+        Document roots keep ``parent == -1`` and no sibling links, so every
+        link-following axis stops at a document boundary by itself.
+        """
+        sizes = [part.nodes.size for part in parts]
+        offsets = np.cumsum([0] + sizes[:-1])
+        arrays = cls.__new__(cls)
+
+        def shifted(name: str) -> np.ndarray:
+            columns = []
+            for part, offset in zip(parts, offsets):
+                column = getattr(part, name)
+                columns.append(np.where(column >= 0, column + offset, -1))
+            return np.concatenate(columns)
+
+        for name in ("parent", "end", "first_child", "next_sibling", "prev_sibling", "root"):
+            setattr(arrays, name, shifted(name))
+        arrays.nodes = np.arange(sum(sizes), dtype=np.int64)
+        arrays.roots = np.concatenate([part.roots + offset for part, offset in zip(parts, offsets)])
+        return arrays
+
+    @property
+    def nbytes(self) -> int:
+        return sum(getattr(self, name).nbytes for name in self.__slots__)
+
+
+def _node_columns(root: "Node") -> Columns:
+    """Walk a :class:`Node` builder into columns, iteratively."""
+    builder = ColumnBuilder()
+    stack: list[tuple[Node, bool]] = [(root, False)]
+    while stack:
+        node, closing = stack.pop()
+        if closing:
+            builder.end()
+            continue
+        builder.start(node.label)
+        stack.append((node, True))
+        stack.extend((child, False) for child in reversed(node.children))
+    return builder.close()
+
+
+def _optional(column: np.ndarray) -> list[Optional[int]]:
+    return [None if value < 0 else value for value in column.tolist()]
+
+
+def _children_of(tree: "Tree") -> list[tuple[int, ...]]:
+    children: list[list[int]] = [[] for _ in range(tree.size)]
+    for uid, parent in enumerate(tree.columns.parent.tolist()[1:], 1):
+        children[parent].append(uid)
+    return [tuple(kids) for kids in children]
+
+
+def _label_index(tree: "Tree") -> dict[str, tuple[int, ...]]:
+    names = tree.columns.label_names
+    label_ids = tree.columns.label_ids
+    order = np.argsort(label_ids, kind="stable")
+    bounds = np.cumsum(np.bincount(label_ids, minlength=len(names)))[:-1]
+    groups = np.split(order, bounds)
+    return {name: tuple(ids.tolist()) for name, ids in zip(names, groups) if ids.size}
+
+
+def _labels(tree: "Tree") -> list[str]:
+    return list(map(tree.columns.label_names.__getitem__, tree.columns.label_ids.tolist()))
+
+
+def _parent_list(tree: "Tree") -> list[Optional[int]]:
+    parent = tree.columns.parent.tolist()
+    parent[0] = None
+    return parent
+
+
+#: How each lazily derived slot of :class:`Tree` is computed from the columns.
+_VIEWS: dict[str, Callable[["Tree"], object]] = {
+    "labels": _labels,
+    "parent": _parent_list,
+    "depth": lambda tree: tree.columns.depth.tolist(),
+    "post": lambda tree: tree.columns.post.tolist(),
+    "subtree_end": lambda tree: tree.columns.end.tolist(),
+    "children_of": _children_of,
+    "arrays": lambda tree: TreeArrays(tree.columns.parent, tree.columns.end),
+    "next_sibling": lambda tree: _optional(tree.arrays.next_sibling),
+    "prev_sibling": lambda tree: _optional(tree.arrays.prev_sibling),
+    "_label_index": _label_index,
+}
+
+
 class Tree:
     """An indexed unranked tree.
 
@@ -315,11 +544,19 @@ class Tree:
     Parameters
     ----------
     root:
-        The :class:`Node` to index.
+        A :class:`Node` to index, or the tree's :class:`Columns` (as the XML
+        loader and the snapshot codec produce them).
+    matrix_cache_bytes:
+        Byte budget of the tree's :class:`MatrixCache` (``None`` =
+        unbounded); unset, ``REPRO_MATRIX_CACHE_BYTES`` or 256 MiB.
 
     Notes
     -----
-    The following arrays (Python lists) are exposed read-only:
+    ``columns`` (the :class:`Columns`) is the storage.  ``arrays`` (the
+    :class:`TreeArrays` the set-at-a-time answerer reads) and the following
+    Python lists are exposed read-only, each derived from the columns on
+    first read, so a tree whose answers come from a cache builds none of
+    them:
 
     ``labels[u]``
         label of node ``u``.
@@ -331,169 +568,61 @@ class Tree:
         the adjacent sibling or ``None``.
     ``depth[u]``
         number of edges from the root.
-    ``pre[u]`` / ``post[u]``
-        preorder and postorder numbers, used for O(1) ancestor tests and
-        document-order comparisons (``pre[u] == u`` by construction).
+    ``post[u]`` / ``subtree_end[u]``
+        postorder number and last preorder id of the subtree, used for O(1)
+        ancestor tests and document-order comparisons (the preorder number
+        is ``u`` itself).
     """
 
     __slots__ = (
         "size",
-        "labels",
-        "parent",
-        "children_of",
-        "next_sibling",
-        "prev_sibling",
-        "depth",
-        "post",
-        "subtree_end",
-        "_label_index",
+        "columns",
+        "_label_codes",
         "_matrix_cache",
+        *_VIEWS,
     )
 
-    def __init__(self, root: Node, matrix_cache_bytes=_UNSET) -> None:
-        if not isinstance(root, Node):
+    def __init__(self, root: "Node | Columns", matrix_cache_bytes=_UNSET) -> None:
+        if isinstance(root, Node):
+            columns = _node_columns(root)
+        elif isinstance(root, Columns):
+            columns = root
+        else:
             raise TreeError(f"Tree root must be a Node, got {type(root).__name__}")
+        size = int(columns.parent.size)
+        if size == 0 or int(columns.parent[0]) != -1:
+            raise TreeError("columnar tree must have a parentless root at node 0")
         if matrix_cache_bytes is _UNSET:
             matrix_cache_bytes = _default_cache_budget()
-        labels: list[str] = []
-        parent: list[Optional[int]] = []
-        children_of: list[list[int]] = []
-        depth: list[int] = []
-
-        # Iterative preorder numbering.
-        stack: list[tuple[Node, Optional[int], int]] = [(root, None, 0)]
-        while stack:
-            node, par, dep = stack.pop()
-            uid = len(labels)
-            labels.append(node.label)
-            parent.append(par)
-            children_of.append([])
-            depth.append(dep)
-            if par is not None:
-                children_of[par].append(uid)
-            # Push children in reverse so they are popped left-to-right.
-            for child in reversed(node.children):
-                stack.append((child, uid, dep + 1))
-
-        size = len(labels)
-        next_sibling: list[Optional[int]] = [None] * size
-        prev_sibling: list[Optional[int]] = [None] * size
-        for kids in children_of:
-            for left, right in zip(kids, kids[1:]):
-                next_sibling[left] = right
-                prev_sibling[right] = left
-
-        # Postorder numbers and subtree extents.  A node's descendants are
-        # exactly the preorder ids in (u, subtree_end[u]].
-        post: list[int] = [0] * size
-        subtree_end: list[int] = [0] * size
-        counter = 0
-        walk: list[tuple[int, bool]] = [(0, False)]
-        while walk:
-            node_id, processed = walk.pop()
-            if processed:
-                post[node_id] = counter
-                counter += 1
-                if children_of[node_id]:
-                    subtree_end[node_id] = subtree_end[children_of[node_id][-1]]
-                else:
-                    subtree_end[node_id] = node_id
-            else:
-                walk.append((node_id, True))
-                for child in reversed(children_of[node_id]):
-                    walk.append((child, False))
-
         self.size = size
-        self.labels = labels
-        self.parent = parent
-        self.children_of = [tuple(kids) for kids in children_of]
-        self.next_sibling = next_sibling
-        self.prev_sibling = prev_sibling
-        self.depth = depth
-        self.post = post
-        self.subtree_end = subtree_end
-        label_index: dict[str, list[int]] = {}
-        for uid, label in enumerate(labels):
-            label_index.setdefault(label, []).append(uid)
-        self._label_index = {lab: tuple(ids) for lab, ids in label_index.items()}
+        self.columns = columns
+        self._label_codes = {name: code for code, name in enumerate(columns.label_names)}
         self._matrix_cache = MatrixCache(matrix_cache_bytes)
 
-    @classmethod
-    def from_columns(
-        cls,
-        *,
-        labels: list[str],
-        parent: list[Optional[int]],
-        depth: list[int],
-        post: list[int],
-        subtree_end: list[int],
-        matrix_cache_bytes=_UNSET,
-    ) -> "Tree":
-        """Rebuild a tree directly from its columnar arrays, skipping parsing.
-
-        This is the snapshot fast path (:mod:`repro.snapshot`): the caller
-        provides the preorder-indexed columns exactly as the constructor
-        would have computed them — ``labels``, ``parent`` (``None`` at the
-        root), ``depth``, ``post`` and ``subtree_end``.  The derived links
-        (child lists, sibling links, label index) are left unset and built
-        in one O(n) pass on first read (see :meth:`__getattr__`), so a
-        document whose answers come from the on-disk spill never pays for
-        them.  No structural validation happens beyond what the derivation
-        needs; snapshot loading validates the columns before calling (see
-        :func:`repro.snapshot.codec.decode_snapshot`).
-        """
-        size = len(labels)
-        if size == 0 or parent[0] is not None:
-            raise TreeError("columnar tree must have a parentless root at node 0")
-        tree = cls.__new__(cls)
-        tree.size = size
-        tree.labels = labels
-        tree.parent = parent
-        tree.depth = depth
-        tree.post = post
-        tree.subtree_end = subtree_end
-        if matrix_cache_bytes is _UNSET:
-            matrix_cache_bytes = _default_cache_budget()
-        tree._matrix_cache = MatrixCache(matrix_cache_bytes)
-        return tree
-
-    #: The slots :meth:`from_columns` leaves for :meth:`_derive_links`.
-    _LINKS = frozenset({"children_of", "next_sibling", "prev_sibling", "_label_index"})
-
     def __getattr__(self, name: str):
-        # Only reached when normal lookup fails, i.e. for an unset slot, so
-        # reads of built links cost nothing extra.
-        if name not in Tree._LINKS:
+        # Only reached when normal lookup fails, i.e. for an unset view, so
+        # reads of derived views cost nothing extra.  Two threads racing
+        # here compute and store equal values.
+        derive = _VIEWS.get(name)
+        if derive is None:
             raise AttributeError(name)
-        self._derive_links()
-        return object.__getattribute__(self, name)
+        value = derive(self)
+        object.__setattr__(self, name, value)
+        return value
 
-    def _derive_links(self) -> None:
-        """Build child lists, sibling links and the label index from ``parent``.
-
-        Idempotent: two threads racing here compute and store equal values.
-        """
-        size = self.size
-        parent = self.parent
-        children_of: list[list[int]] = [[] for _ in range(size)]
-        next_sibling: list[Optional[int]] = [None] * size
-        prev_sibling: list[Optional[int]] = [None] * size
-        for uid in range(1, size):
-            kids = children_of[parent[uid]]
-            if kids:
-                left = kids[-1]
-                next_sibling[left] = uid
-                prev_sibling[uid] = left
-            kids.append(uid)
-        label_index: dict[str, list[int]] = {}
-        for uid, label in enumerate(self.labels):
-            label_index.setdefault(label, []).append(uid)
-        self.children_of = [tuple(kids) for kids in children_of]
-        self.next_sibling = next_sibling
-        self.prev_sibling = prev_sibling
-        self._label_index = {lab: tuple(ids) for lab, ids in label_index.items()}
+    def __reduce__(self):
+        return (Tree, (self.columns, self._matrix_cache.max_bytes))
 
     # ------------------------------------------------------------------ basic
+    @property
+    def label_ids(self) -> np.ndarray:
+        """The label id column (indexes :attr:`Columns.label_names`)."""
+        return self.columns.label_ids
+
+    def label_code(self, label: str) -> Optional[int]:
+        """The id of ``label`` in the label table, or ``None`` if absent."""
+        return self._label_codes.get(label)
+
     def nodes(self) -> range:
         """Return all node identifiers in document order."""
         return range(self.size)
@@ -509,7 +638,7 @@ class Tree:
 
     def alphabet(self) -> frozenset[str]:
         """Return the set of labels occurring in the tree."""
-        return frozenset(self._label_index)
+        return frozenset(self._label_codes)
 
     def root(self) -> int:
         """Return the root node identifier (always ``0``)."""
@@ -642,8 +771,8 @@ class Tree:
             return NotImplemented
         return (
             self.size == other.size
+            and np.array_equal(self.columns.parent, other.columns.parent)
             and self.labels == other.labels
-            and self.parent == other.parent
         )
 
     def __hash__(self) -> int:

@@ -5,9 +5,15 @@ keeps only element structure and element names when reading XML, which is
 exactly the Core XPath data model.  Export produces well-formed XML with one
 element per node.
 
-``xml.etree.ElementTree`` from the standard library is used purely as a
-tokenizer for XML text — every query evaluator in this repository operates on
-:class:`repro.trees.Tree` only.
+Loading writes the tree's columns straight from the parser's events: an
+``xml.etree.ElementTree.XMLParser`` (the standard library's expat binding,
+used purely as a tokenizer) calls a :class:`repro.trees.tree.ColumnBuilder`
+target once per element start and end, which appends a label id, a parent
+and a depth and records the closing order.  No element tree, no
+:class:`repro.trees.tree.Node` and no per-node Python object is built; the
+tree's Python list views are derived later, only if something reads them.
+Text, attributes, comments and processing instructions never reach the
+target.
 """
 
 from __future__ import annotations
@@ -16,7 +22,10 @@ import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
 from repro.errors import TreeError
-from repro.trees.tree import Node, Tree
+from repro.trees.tree import ColumnBuilder, Tree
+
+#: Bytes read per parser feed from a file (what ``ElementTree.parse`` reads).
+_CHUNK = 64 * 1024
 
 
 def _strip_namespace(tag: str) -> str:
@@ -24,6 +33,10 @@ def _strip_namespace(tag: str) -> str:
     if tag.startswith("{"):
         return tag.split("}", 1)[1]
     return tag
+
+
+def _column_parser() -> ET.XMLParser:
+    return ET.XMLParser(target=ColumnBuilder(_strip_namespace))
 
 
 def tree_from_xml(text: str) -> Tree:
@@ -37,33 +50,26 @@ def tree_from_xml(text: str) -> Tree:
     TreeError
         If the input is not well-formed XML.
     """
+    parser = _column_parser()
     try:
-        root_element = ET.fromstring(text)
+        parser.feed(text)
+        columns = parser.close()
     except ET.ParseError as exc:
         raise TreeError(f"invalid XML document: {exc}") from exc
-    return Tree(_convert(root_element))
+    return Tree(columns)
 
 
 def tree_from_xml_file(path: str) -> Tree:
     """Parse the XML document stored at ``path`` into a :class:`Tree`."""
+    parser = _column_parser()
     try:
-        root_element = ET.parse(path).getroot()
+        with open(path, "rb") as handle:
+            while chunk := handle.read(_CHUNK):
+                parser.feed(chunk)
+        columns = parser.close()
     except (ET.ParseError, OSError) as exc:
         raise TreeError(f"cannot read XML file {path!r}: {exc}") from exc
-    return Tree(_convert(root_element))
-
-
-def _convert(element: ET.Element) -> Node:
-    """Convert an ElementTree element into a builder :class:`Node` iteratively."""
-    root = Node(_strip_namespace(element.tag))
-    stack = [(element, root)]
-    while stack:
-        source, target = stack.pop()
-        for child in source:
-            node = Node(_strip_namespace(child.tag))
-            target.children.append(node)
-            stack.append((child, node))
-    return root
+    return Tree(columns)
 
 
 def tree_to_xml(tree: Tree, indent: bool = False) -> str:

@@ -115,3 +115,31 @@ def test_a_long_negated_disjunction_compiles_and_plans():
     query = compile_query(f"descendant::r[not({tests})][. is $x]", ("x",))
     plan = plan_for(query.hcl, ("x",))
     assert plan.domains[plan.root] == ("x",)
+
+
+def test_a_long_negated_disjunction_answers():
+    # The leaf is evaluated as a Theorem 2 relation (except), then read set
+    # at a time: every walk over it, and every cache key comparison, must
+    # run without recursing once per operator.
+    tests = " or ".join(f"child::c{index}" for index in range(2000))
+    text = f"descendant::r[not({tests})][. is $x]"
+    with Session() as session:
+        session.add_xml("doc", "<t><r/><r><c5/></r><r/></t>")
+        assert session.query("doc", text, ["x"]) == frozenset({(1,), (4,)})
+
+
+def test_a_deep_except_leaf_equals_its_copy():
+    from repro.pplbin.ast import BExcept, BStep, BUnion, binary_union
+    from repro.pplbin.translate import to_core_xpath
+    from repro.trees.axes import Axis
+
+    def leaf():
+        steps = [BStep(Axis.CHILD, f"c{index}") for index in range(2000)]
+        return BExcept(binary_union(*steps))
+
+    first, second = leaf(), leaf()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != BExcept(BUnion(first.operand, BStep(Axis.CHILD, "other")))
+    assert first.size == 4000
+    assert to_core_xpath(first) is not None

@@ -149,6 +149,24 @@ class TestPolicies:
         with pytest.raises(ValueError):
             ExecutionPolicy().resolve("no_such_knob")
 
+    def test_tree_default_budget_resolves_through_the_policy(self, monkeypatch):
+        from repro.session.policy import DEFAULT_EXECUTION
+        from repro.trees.tree import DEFAULT_MATRIX_CACHE_BYTES
+        from repro.trees.xml_io import tree_from_xml
+
+        monkeypatch.setenv("REPRO_MATRIX_CACHE_BYTES", "4096")
+        assert DEFAULT_EXECUTION.explain()["matrix_cache_bytes"] == Resolved(4096, "env")
+        assert Tree(Node("a")).matrix_cache().max_bytes == 4096
+        assert tree_from_xml("<a/>").matrix_cache().max_bytes == 4096
+        assert Tree(Node("a"), matrix_cache_bytes=7).matrix_cache().max_bytes == 7
+        monkeypatch.setenv("REPRO_MATRIX_CACHE_BYTES", "0")
+        assert Tree(Node("a")).matrix_cache().max_bytes is None
+        monkeypatch.delenv("REPRO_MATRIX_CACHE_BYTES")
+        assert DEFAULT_EXECUTION.explain()["matrix_cache_bytes"] == Resolved(
+            DEFAULT_MATRIX_CACHE_BYTES, "default"
+        )
+        assert Tree(Node("a")).matrix_cache().max_bytes == DEFAULT_MATRIX_CACHE_BYTES
+
     def test_session_folds_explicit_args_over_policy(self):
         policy = ExecutionPolicy(engine="naive", strategy="processes")
         with Session(execution=policy, engine="polynomial") as session:

@@ -8,11 +8,12 @@ off the tree's arrays, and a relation the Theorem 2 evaluator needs is
 rebuilt from them in O(|t| log |t|) plus its size.  The layout is designed
 for O(1) loads: a fixed prefix, one JSON header describing every array
 (dtype, offset, shape), then a 64-byte-aligned little-endian body that a
-memory map exposes to numpy without parsing or copying.  The columns are
-exactly a tree's storage (:class:`repro.trees.tree.Columns`): encoding
-writes them as they are and decoding hands the mapped arrays to the
-:class:`Tree` constructor; the tree's sibling links and Python list views
-are derived on first use.
+memory map exposes to numpy without parsing.  The columns are exactly a
+tree's storage (:class:`repro.trees.tree.Columns`): encoding writes them as
+they are, and decoding validates the mapped arrays and hands copies of them
+to the :class:`Tree` constructor (copies, so no resident tree keeps the map
+and its file descriptor open); the tree's sibling links and Python list
+views are derived on first use.
 
 On-disk layout (format version 2)::
 
@@ -264,14 +265,17 @@ def decode_snapshot(
 
     if not all(isinstance(label, str) for label in labels_table):
         raise SnapshotError(f"snapshot {path.name}: label dictionary is not all strings")
+    # Copy the validated columns out of the map (one memcpy each): the tree
+    # keeps its columns, and a live map holds a file descriptor.
+    stored = {name: np.array(array) for name, array in columns.items()}
     return Tree(
         Columns(
             tuple(labels_table),
-            label_ids,
-            parent,
-            columns["depth"],
-            columns["post"],
-            subtree_end,
+            stored["label_ids"],
+            stored["parent"],
+            stored["depth"],
+            stored["post"],
+            stored["subtree_end"],
         ),
         matrix_cache_bytes=matrix_cache_bytes,
     )

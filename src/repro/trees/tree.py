@@ -21,8 +21,8 @@ Three ways in:
   Python object is built.
 * :class:`Node` is a lightweight mutable builder for generators and tests:
   ``Tree(node)`` drives the same :class:`ColumnBuilder` over it.
-* The snapshot loader (:mod:`repro.snapshot.codec`) hands its memory-mapped
-  columns to ``Tree(columns)`` as they are.
+* The snapshot loader (:mod:`repro.snapshot.codec`) hands the columns it
+  read from a memory map to ``Tree(columns)``.
 
 The Python list views the naive engines and the public methods read
 (``labels``, ``parent`` with ``None`` at the root, ``depth``, ``post``,

@@ -139,6 +139,15 @@ class TestCodec:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_decoded_trees_hold_no_file_descriptor(self, tmp_path):
+        path = tmp_path / "snap.snap"
+        path.write_bytes(encode_snapshot(small_tree(), "d" * 64))
+        before = len(os.listdir("/proc/self/fd"))
+        trees = [decode_snapshot(path) for _ in range(20)]
+        assert len(os.listdir("/proc/self/fd")) - before < 5
+        assert all(tree == trees[0] for tree in trees)
+
     def test_header_readable(self, tmp_path):
         tree = small_tree()
         path = tmp_path / "snap.snap"

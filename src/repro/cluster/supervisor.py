@@ -33,7 +33,6 @@ import dataclasses
 import json
 import logging
 import multiprocessing
-import os
 import socket
 import threading
 import time
@@ -42,9 +41,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.errors import ReproError
-from repro.obs.http import OBS_PORT_ENV, ObsHTTPServer
+from repro.obs.http import ObsHTTPServer
 from repro.obs.metrics import MetricsRegistry
-from repro.session.policy import ServingPolicy, resolve_cluster_field
+from repro.session.policy import ServingPolicy, resolve_serving_field
 from repro.cluster.autotune import AIMDController, DEFAULT_TARGET_P95
 from repro.cluster.member import MemberConfig, member_main
 from repro.cluster.placement import (
@@ -218,12 +217,12 @@ class ClusterSupervisor:
         # (they also drop REPRO_OBS_PORT from their own environment).
         self.serving = dataclasses.replace(policy, obs_port=None)
         self.member_count = int(
-            resolve_cluster_field(policy, "cluster_members", members, default=2).value
+            resolve_serving_field(policy, "cluster_members", members, default=2).value
         )
         if self.member_count < 1:
             raise ClusterError("cluster_members must be at least 1")
         self.placement_strategy = str(
-            resolve_cluster_field(policy, "placement", placement, default="cost").value
+            resolve_serving_field(policy, "placement", placement, default="cost").value
         )
         if self.placement_strategy not in STRATEGIES:
             raise ClusterError(
@@ -231,7 +230,7 @@ class ClusterSupervisor:
                 f"expected one of {', '.join(STRATEGIES)}"
             )
         self.autotune_enabled = bool(
-            resolve_cluster_field(policy, "autotune", autotune, default=True).value
+            resolve_serving_field(policy, "autotune", autotune, default=True).value
         )
         self.move_budget = int(move_budget)
         self.engine = engine
@@ -245,14 +244,9 @@ class ClusterSupervisor:
         self.reuseport_active: Optional[bool] = None
         self.port: Optional[int] = None
 
-        if obs_port is None:
-            raw = os.environ.get(OBS_PORT_ENV, "").strip()
-            if raw:
-                try:
-                    obs_port = int(raw)
-                except ValueError:
-                    obs_port = None
-        self._obs_port = obs_port
+        # The serving policy's own obs_port is not consulted: the supervisor
+        # takes its endpoint from the argument, then REPRO_OBS_PORT.
+        self._obs_port = resolve_serving_field(None, "obs_port", obs_port).value
         self.obs_http: Optional[ObsHTTPServer] = None
 
         self.cost_model = CostModel()

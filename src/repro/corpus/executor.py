@@ -101,7 +101,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from repro import faults
 from repro._config import UNSET as _UNSET
@@ -1657,6 +1657,26 @@ class CorpusExecutor:
         future.set_exception(DocumentQuarantinedError(name, crashes))
         return future
 
+    def _probe_workers(self, probe: Callable[[], Any]) -> Optional[list]:
+        """Run ``probe`` once in each live shard pool and collect the results.
+
+        Returns ``None`` when no shard pool exists (strategies other than
+        ``"processes"``, or before the first run), so the caller falls back
+        to the parent store; a pool shut down by a concurrent targeted
+        repartition is skipped.
+        """
+        with self._pool_lock:
+            if self.strategy != "processes" or self._pools is None:
+                return None
+            pools = [pool for pool in self._pools if pool is not None]
+        results = []
+        for pool in pools:
+            try:
+                results.append(pool.pool.submit(probe).result())
+            except RuntimeError:
+                continue  # shut down by a concurrent targeted repartition
+        return results
+
     def answer_cache_stats(self) -> Optional[dict]:
         """Aggregate answer-cache counters, wherever the caches live.
 
@@ -1665,17 +1685,12 @@ class CorpusExecutor:
         caches (the parent cache sees no traffic there).  Returns ``None``
         when answer caching is disabled.
         """
-        with self._pool_lock:
-            if self.strategy != "processes" or self._pools is None:
-                cache = self.store.answer_cache
-                return cache.stats.to_dict() if cache is not None else None
-            pools = [pool for pool in self._pools if pool is not None]
+        workers = self._probe_workers(_worker_cache_stats)
+        if workers is None:
+            cache = self.store.answer_cache
+            return cache.stats.to_dict() if cache is not None else None
         totals: Optional[dict] = None
-        for pool in pools:
-            try:
-                worker = pool.pool.submit(_worker_cache_stats).result()
-            except RuntimeError:
-                continue  # shut down by a concurrent targeted repartition
+        for worker in workers:
             if worker is None:
                 continue
             if totals is None:
@@ -1697,15 +1712,7 @@ class CorpusExecutor:
         """
         merged = MetricsRegistry()
         merged.merge(self.metrics_registry)
-        with self._pool_lock:
-            if self.strategy != "processes" or self._pools is None:
-                return merged
-            pools = [pool for pool in self._pools if pool is not None]
-        for pool in pools:
-            try:
-                worker = pool.pool.submit(_worker_metrics).result()
-            except RuntimeError:
-                continue  # shut down by a concurrent targeted repartition
+        for worker in self._probe_workers(_worker_metrics) or ():
             if worker is not None:
                 merged.merge(worker)
         return merged
@@ -1941,13 +1948,7 @@ class CorpusExecutor:
         strategies, or before the first run).
         """
         totals = [0] * 6
-        with self._pool_lock:
-            pools = [pool for pool in self._pools or () if pool is not None]
-        for pool in pools:
-            try:
-                counters = pool.pool.submit(_worker_stats).result()
-            except RuntimeError:
-                continue  # shut down by a concurrent targeted repartition
+        for counters in self._probe_workers(_worker_stats) or ():
             for index, value in enumerate(counters):
                 totals[index] += value
         loads, hits, evictions, parses, snap_hits, snap_misses = totals
@@ -1970,17 +1971,12 @@ class CorpusExecutor:
         shared directory and are taken from the last worker rather than
         summed).  Returns ``None`` when no snapshot directory is configured.
         """
-        with self._pool_lock:
-            if self.strategy != "processes" or self._pools is None:
-                return self.store.snapshot_stats()
-            pools = [pool for pool in self._pools if pool is not None]
+        workers = self._probe_workers(_worker_snapshot_stats)
+        if workers is None:
+            return self.store.snapshot_stats()
         totals: Optional[dict] = None
         shared = ("total_bytes", "trees", "answers", "max_bytes")
-        for pool in pools:
-            try:
-                worker = pool.pool.submit(_worker_snapshot_stats).result()
-            except RuntimeError:
-                continue  # shut down by a concurrent targeted repartition
+        for worker in workers:
             if worker is None:
                 continue
             if totals is None:

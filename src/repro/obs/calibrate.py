@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import statistics
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.diskstore import write_atomic
 from repro.obs import trace as _trace
 
 __all__ = [
@@ -303,11 +303,8 @@ def build_profile(samples: Sequence[dict]) -> dict:
 
 def save_profile(path: str, profile: dict) -> str:
     """Atomically persist a profile as JSON; returns the path."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(profile, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
+    text = json.dumps(profile, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, text.encode("utf-8"))
     return path
 
 

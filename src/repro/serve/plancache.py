@@ -18,11 +18,17 @@ instead of recompiling the whole workload.
   (truncated file, foreign bytes, version or text mismatch) counts as a
   miss, deletes the offending file, and falls back to compilation — a
   corrupted cache can cost time, never correctness;
-* **byte-budgeted** — an optional LRU budget over the total file size,
+* **byte-budgeted** — an optional LRU budget over the ``.plan`` files,
   enforced on every store by deleting least-recently-*used* plans (hits
-  refresh the file mtime);
+  touch their file);
 * **stack-safe** — serialisation rides on :class:`repro.api.Query`'s
   depth-robust pickling, so arbitrarily deep plans round-trip.
+
+The storage rules themselves — addressing, loads, atomic writes, the LRU
+budget and housekeeping — are :class:`repro.diskstore.DiskStore`'s, shared
+with :class:`repro.snapshot.store.SnapshotStore`; this module keeps only
+what is a plan's own: its key fields, its payload and its counters.  Both
+stores may share one directory: each counts and evicts only its own files.
 
 The cache is wired into serving through
 :meth:`repro.serve.server.CorpusServer`, and into ad-hoc compilation through
@@ -31,18 +37,12 @@ The cache is wired into serving through
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import pickle
-import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from repro import faults
 from repro.api.query import Query, compile_query
-from repro.errors import FaultInjectedError
+from repro.diskstore import DiskStore
 from repro.obs import trace as _trace
 
 #: Bump when the payload layout (or anything pickled inside it) changes
@@ -67,16 +67,12 @@ class PlanCacheStats:
     invalid: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "invalid": self.invalid,
-        }
+        return asdict(self)
 
 
-class PlanCache:
+
+
+class PlanCache(DiskStore):
     """On-disk LRU cache of compiled :class:`repro.api.Query` plans.
 
     Parameters
@@ -87,19 +83,7 @@ class PlanCache:
         Total byte budget over the plan files (``None`` = unbounded).
     """
 
-    def __init__(
-        self, directory: Union[str, Path], *, max_bytes: Optional[int] = None
-    ) -> None:
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError("max_bytes must be non-negative (or None for unbounded)")
-        self.directory = Path(directory)
-        self.max_bytes = max_bytes
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._stores = 0
-        self._evictions = 0
-        self._invalid = 0
+    _suffixes = (_SUFFIX,)
 
     # ------------------------------------------------------------------- keys
     @staticmethod
@@ -112,17 +96,17 @@ class PlanCache:
         text, the output-variable tuple and the engine label, in a framing
         (JSON) that cannot collide across fields.
         """
-        identity = json.dumps(
-            [FORMAT_VERSION, expression, list(variables), engine],
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(identity.encode("utf-8")).hexdigest()
+        return DiskStore._address(FORMAT_VERSION, expression, list(variables), engine)
 
     def path_for(
         self, expression: str, variables: Sequence[str] = (), engine: str = ANY_ENGINE
     ) -> Path:
         """The file a plan for this identity would be stored at."""
         return self.directory / (self.key(expression, variables, engine) + _SUFFIX)
+
+    @staticmethod
+    def _identity(text: str, variables: Sequence[str], engine: str) -> dict:
+        return dict(format=FORMAT_VERSION, text=text, variables=list(variables), engine=engine)
 
     # ------------------------------------------------------------------ loads
     def load(
@@ -135,48 +119,8 @@ class PlanCache:
         reported as a miss, so a damaged cache degrades to cold compilation.
         """
         path = self.path_for(expression, variables, engine)
-        try:
-            faults.trip("corrupt_read", key=expression, site="plan_cache")
-            blob = path.read_bytes()
-        except FaultInjectedError:
-            # Injected read corruption: a miss (recompile), but the file on
-            # disk is fine — don't unlink it like organic corruption below.
-            with self._lock:
-                self._misses += 1
-            return None
-        except OSError:
-            with self._lock:
-                self._misses += 1
-            return None
-        try:
-            payload = pickle.loads(blob)
-            if not isinstance(payload, dict):
-                raise ValueError("plan payload is not a dict")
-            if payload.get("format") != FORMAT_VERSION:
-                raise ValueError("plan format version mismatch")
-            if (
-                payload.get("text") != expression
-                or tuple(payload.get("variables", ())) != tuple(variables)
-                or payload.get("engine") != engine
-            ):
-                raise ValueError("plan identity mismatch")
-            query = payload["query"]
-            if not isinstance(query, Query):
-                raise ValueError("plan payload holds no Query")
-        except Exception:
-            # Corruption tolerance: drop the bad file and recompile.
-            with self._lock:
-                self._invalid += 1
-                self._misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        with self._lock:
-            self._hits += 1
-        self._touch(path)
-        return query
+        identity = self._identity(expression, variables, engine)
+        return self._load_pickle(path, identity, "query", Query, key=expression, site="plan_cache")
 
     def store(
         self,
@@ -192,29 +136,8 @@ class PlanCache:
         """
         text = expression if expression is not None else query.unparse()
         path = self.path_for(text, query.variables, engine)
-        payload = pickle.dumps(
-            {
-                "format": FORMAT_VERSION,
-                "text": text,
-                "variables": list(query.variables),
-                "engine": engine,
-                "query": query,
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        self.directory.mkdir(parents=True, exist_ok=True)
-        # Unique per writer *thread*: concurrent stores of the same key
-        # (two clients miss on one expression simultaneously) must not
-        # rename each other's temp file away mid-replace.
-        temporary = path.with_suffix(
-            ".tmp-%d-%d" % (os.getpid(), threading.get_ident())
-        )
-        temporary.write_bytes(payload)
-        os.replace(temporary, path)
-        with self._lock:
-            self._stores += 1
-        self._enforce_budget()
-        return path
+        identity = self._identity(text, query.variables, engine)
+        return self._store_pickle(path, identity, "query", query)
 
     def get_or_compile(
         self,
@@ -236,79 +159,15 @@ class PlanCache:
         return query
 
     # -------------------------------------------------------------- housekeeping
-    def _touch(self, path: Path) -> None:
-        """Refresh the file's mtime so budget eviction is least-recently-used."""
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-
-    def _plan_files(self) -> list[Path]:
-        try:
-            return [entry for entry in self.directory.iterdir() if entry.suffix == _SUFFIX]
-        except OSError:
-            return []
-
-    def _enforce_budget(self) -> None:
-        if self.max_bytes is None:
-            return
-        entries = []
-        total = 0
-        for path in self._plan_files():
-            try:
-                status = path.stat()
-            except OSError:
-                continue
-            entries.append((status.st_mtime, status.st_size, path))
-            total += status.st_size
-        entries.sort()  # oldest mtime first = least recently used
-        for _, size, path in entries:
-            if total <= self.max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            with self._lock:
-                self._evictions += 1
-
     def clear(self) -> int:
         """Delete every plan file; returns how many were removed."""
-        removed = 0
-        for path in self._plan_files():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return self._clear()
 
-    # ------------------------------------------------------------- inspection
     def total_bytes(self) -> int:
         """Current on-disk footprint of the plan files."""
-        total = 0
-        for path in self._plan_files():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def __len__(self) -> int:
-        return len(self._plan_files())
+        return self._total_bytes()
 
     @property
     def stats(self) -> PlanCacheStats:
         """Snapshot of this instance's counters."""
-        with self._lock:
-            return PlanCacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                stores=self._stores,
-                evictions=self._evictions,
-                invalid=self._invalid,
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PlanCache({str(self.directory)!r}, max_bytes={self.max_bytes})"
+        return self._stats(PlanCacheStats)

@@ -30,7 +30,6 @@ mid-flight without touching the rest of the server.
 from __future__ import annotations
 
 import asyncio
-import os
 import time
 from dataclasses import dataclass, field
 from typing import AsyncIterator, Iterable, Optional, Sequence, Union
@@ -42,12 +41,12 @@ from repro.api.registry import DEFAULT_ENGINE
 from repro.corpus.executor import CorpusExecutor, CorpusResult
 from repro.corpus.store import CorpusError, DocumentStore
 from repro.obs import trace as _trace
-from repro.obs.http import OBS_PORT_ENV, ObsHTTPServer
+from repro.obs.http import ObsHTTPServer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import SlowQueryLog
 from repro.pplbin import bitmatrix as _bitmatrix
 from repro.serve.plancache import ANY_ENGINE, PlanCache
-from repro.session.policy import ExecutionPolicy, ServingPolicy
+from repro.session.policy import ExecutionPolicy, ServingPolicy, resolve_serving_field
 
 #: Prometheus names of the server's two latency histograms.  ``execution``
 #: is seconds from evaluation-slot acquisition to completion of one
@@ -390,14 +389,7 @@ class CorpusServer:
         #: The stdlib HTTP observability endpoint, when ``policy.obs_port``
         #: (or ``REPRO_OBS_PORT``) asked for one; ``None`` otherwise.
         self.obs_http: Optional[ObsHTTPServer] = None
-        obs_port = self.policy.obs_port
-        if obs_port is None:
-            raw = os.environ.get(OBS_PORT_ENV, "").strip()
-            if raw:
-                try:
-                    obs_port = int(raw)
-                except ValueError:
-                    obs_port = None
+        obs_port = resolve_serving_field(self.policy, "obs_port").value
         if obs_port is not None:
             self.obs_http = ObsHTTPServer(
                 self.metrics_text,

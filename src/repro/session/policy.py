@@ -34,6 +34,7 @@ from typing import Any, Optional
 #: meaningful explicit value (unbounded budgets, process-default kernel).
 #: One shared object across the whole stack — see :mod:`repro._config`.
 from repro._config import UNSET
+from repro.obs.http import OBS_PORT_ENV
 
 # ------------------------------------------------------------- environment
 #: Environment variables of the execution chain, one per policy field.
@@ -63,12 +64,12 @@ ON_ERROR_ENV = "REPRO_ON_ERROR"
 MAX_WORKER_RESTARTS_ENV = "REPRO_MAX_WORKER_RESTARTS"
 RESTART_BACKOFF_ENV = "REPRO_RESTART_BACKOFF"
 
-#: Cluster-mode environment fallbacks.  Like ``REPRO_OBS_PORT``, these are
-#: deployment configuration rather than admission behaviour, so they are the
-#: (only) serving knobs read from the environment — at *supervisor/CLI
-#: start*, when the matching :class:`ServingPolicy` field is ``None``,
-#: under the usual explicit > policy > env > default precedence (see
-#: :func:`resolve_cluster_field`).
+#: Serving environment fallbacks: the cluster topology and the
+#: ``REPRO_OBS_PORT`` scrape target are deployment configuration rather than
+#: admission behaviour, so they are the (only) serving knobs read from the
+#: environment — at *server/supervisor/CLI start*, when the matching
+#: :class:`ServingPolicy` field is ``None``, under the usual explicit >
+#: policy > env > default precedence (see :func:`resolve_serving_field`).
 CLUSTER_MEMBERS_ENV = "REPRO_CLUSTER_MEMBERS"
 CLUSTER_PLACEMENT_ENV = "REPRO_CLUSTER_PLACEMENT"
 CLUSTER_AUTOTUNE_ENV = "REPRO_CLUSTER_AUTOTUNE"
@@ -455,35 +456,38 @@ class ServingPolicy:
         return dataclasses.replace(self, **changes) if changes else self
 
 
-#: Environment variable and coercion of each cluster-mode serving field.
-_CLUSTER_ENV_OF_FIELD = {
+#: Environment variable and coercion of each serving field with an env fallback.
+_SERVING_ENV_OF_FIELD = {
+    "obs_port": (OBS_PORT_ENV, "int"),
     "cluster_members": (CLUSTER_MEMBERS_ENV, "int"),
     "placement": (CLUSTER_PLACEMENT_ENV, "str"),
     "autotune": (CLUSTER_AUTOTUNE_ENV, "bool"),
 }
 
 
-def resolve_cluster_field(
+def resolve_serving_field(
     policy: Optional[ServingPolicy],
     field: str,
     explicit: Any = None,
     default: Any = None,
 ) -> Resolved:
-    """Resolve one cluster serving knob: explicit > policy > env > default.
+    """Resolve one serving knob with an env fallback: explicit > policy > env > default.
 
-    The cluster fields are the serving knobs with a documented environment
-    fallback (``REPRO_CLUSTER_*``) — cluster topology is deployment
-    configuration, like ``REPRO_OBS_PORT`` scrape targets.  Resolution
-    happens once, at supervisor/CLI start, never ambiently per request.
+    These are the serving fields with a documented environment fallback —
+    ``obs_port`` (``REPRO_OBS_PORT``) and the cluster fields
+    (``REPRO_CLUSTER_*``): scrape targets and cluster topology are
+    deployment configuration.  A malformed integer resolves to ``default``.
+    Resolution happens once, at server/supervisor/CLI start, never
+    ambiently per request.
     """
-    if field not in _CLUSTER_ENV_OF_FIELD:
-        raise ValueError(f"unknown cluster serving field {field!r}")
+    if field not in _SERVING_ENV_OF_FIELD:
+        raise ValueError(f"unknown env-backed serving field {field!r}")
     if explicit is not None and explicit is not UNSET:
         return Resolved(explicit, "explicit")
     policy_value = getattr(policy, field, None) if policy is not None else None
     if policy_value is not None:
         return Resolved(policy_value, "policy")
-    env_name, kind = _CLUSTER_ENV_OF_FIELD[field]
+    env_name, kind = _SERVING_ENV_OF_FIELD[field]
     raw = os.environ.get(env_name)
     if raw is not None and raw.strip():
         raw = raw.strip()

@@ -41,6 +41,7 @@ from repro.obs.http import ObsHTTPServer
 from repro.obs.metrics import series_key
 from repro.serve import CorpusServer, ProtocolServer, request_lines
 from repro.session import ExecutionPolicy, ServingPolicy, Session
+from repro.session.policy import resolve_serving_field
 from repro.trees.xml_io import tree_to_xml
 from repro.workloads.bibliography import generate_bibliography
 
@@ -1076,6 +1077,16 @@ class TestObsHTTP:
                 assert status == 200
 
         run(body())
+
+    def test_obs_port_precedence(self, monkeypatch):
+        monkeypatch.setenv("REPRO_OBS_PORT", "9123")
+        explicit = resolve_serving_field(ServingPolicy(obs_port=0), "obs_port")
+        assert (explicit.value, explicit.source) == (0, "policy")
+        env = resolve_serving_field(ServingPolicy(), "obs_port")
+        assert (env.value, env.source) == (9123, "env")
+        monkeypatch.setenv("REPRO_OBS_PORT", "not-a-port")
+        malformed = resolve_serving_field(ServingPolicy(), "obs_port")
+        assert (malformed.value, malformed.source) == (None, "default")
 
     def test_server_endpoint_off_by_default(self):
         async def body():
